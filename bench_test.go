@@ -25,7 +25,6 @@ import (
 	"repro/internal/demand"
 	"repro/internal/entity"
 	"repro/internal/extract"
-	"repro/internal/graph"
 	"repro/internal/htmlx"
 	"repro/internal/index"
 	"repro/internal/logs"
@@ -662,45 +661,6 @@ func BenchmarkAblationCookiesSketch(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDiameterIFUB vs ...Brute: iFUB exact diameter vs
-// the paper's all-sources BFS.
-func ablationGraph(b *testing.B) (*graph.Bipartite, graph.Components) {
-	b.Helper()
-	// A dedicated small web keeps the brute-force baseline (quadratic in
-	// nodes times edges) tractable; the speedup ratio is what matters.
-	web, err := synth.Generate(synth.Config{
-		Domain: entity.Banks, Entities: 800, DirectoryHosts: 1200, Seed: 13,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := graph.FromIndex(web.DirectIndexes()[entity.AttrPhone])
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g, g.AllComponents()
-}
-
-func BenchmarkAblationDiameterIFUB(b *testing.B) {
-	g, c := ablationGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := g.DiameterLargest(c); d == 0 {
-			b.Fatal("zero diameter")
-		}
-	}
-}
-
-func BenchmarkAblationDiameterBrute(b *testing.B) {
-	g, c := ablationGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := g.DiameterBrute(c); d == 0 {
-			b.Fatal("zero diameter")
-		}
-	}
-}
-
 // BenchmarkAblationMatchRegex vs ...AhoCorasick: page-text phone
 // matching via regex-extract-then-lookup vs one-pass multi-pattern
 // search over all database phones.
@@ -913,18 +873,6 @@ func BenchmarkCorroborateResolve(b *testing.B) {
 		}
 		if len(resolved) == 0 {
 			b.Fatal("nothing resolved")
-		}
-	}
-}
-
-// BenchmarkAblationDiameterParallel: the paper's all-sources-BFS method
-// parallelized across cores — exact like iFUB, but one BFS per node.
-func BenchmarkAblationDiameterParallel(b *testing.B) {
-	g, c := ablationGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := g.DiameterParallel(c, 0); d == 0 {
-			b.Fatal("zero diameter")
 		}
 	}
 }

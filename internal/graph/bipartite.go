@@ -1,14 +1,15 @@
 // Package graph implements the §5 connectivity analysis of the
 // entity–website bipartite graph: connected components and their sizes
-// (via union-find), exact graph diameter (via the iFUB algorithm, which
-// converges in a handful of BFS sweeps on small-world graphs), and the
-// robustness of the largest component when the top-k sites are removed
-// (Figure 9).
+// (via union-find), exact graph diameter (via the iFUB algorithm started
+// from a 4-sweep center, see diameter.go), and the robustness of the
+// largest component when the top-k sites are removed (Figure 9). The
+// robustness curve takes one union-find pass per graph: it removes the
+// top sites, then adds them back one at a time, largest last, while
+// tracking the largest component's entity count.
 package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/index"
 )
@@ -127,7 +128,7 @@ func (c Components) InLargest(v int) bool {
 // ranks removed (nil removes nothing). Removal of rank r removes the
 // r-th largest site and all its edges.
 func (g *Bipartite) ComponentsExcluding(removedRanks []int) Components {
-	removed := make(map[int]bool, len(removedRanks))
+	removed := make([]bool, len(g.adj))
 	for _, r := range removedRanks {
 		if r >= 0 && r < len(g.siteOrder) {
 			removed[g.siteOrder[r]] = true
@@ -139,13 +140,13 @@ func (g *Bipartite) ComponentsExcluding(removedRanks []int) Components {
 			continue
 		}
 		for _, u := range g.adj[v] {
-			if !removed[int(u)] {
+			if !removed[u] {
 				uf.union(v, int(u))
 			}
 		}
 	}
 	// Tally entities per root.
-	perRoot := make(map[int]int)
+	perRoot := make([]int32, len(g.adj))
 	total := 0
 	roots := make([]int32, len(g.adj))
 	for v := range g.adj {
@@ -154,7 +155,7 @@ func (g *Bipartite) ComponentsExcluding(removedRanks []int) Components {
 	for e := 0; e < g.NumEntities; e++ {
 		connected := false
 		for _, s := range g.adj[e] {
-			if !removed[int(s)] {
+			if !removed[s] {
 				connected = true
 				break
 			}
@@ -163,13 +164,18 @@ func (g *Bipartite) ComponentsExcluding(removedRanks []int) Components {
 			continue
 		}
 		total++
-		perRoot[int(roots[e])]++
+		perRoot[roots[e]]++
 	}
 	out := Components{TotalEntities: total, roots: roots, LargestID: -1}
+	// Ascending roots with a strict > keep the lowest root among equal
+	// counts.
 	for root, n := range perRoot {
+		if n == 0 {
+			continue
+		}
 		out.Count++
-		if n > out.LargestEntities || (n == out.LargestEntities && root < out.LargestID) {
-			out.LargestEntities = n
+		if int(n) > out.LargestEntities {
+			out.LargestEntities = int(n)
 			out.LargestID = root
 		}
 	}
@@ -186,13 +192,64 @@ func (g *Bipartite) AllComponents() Components {
 // k sites (Figure 9). The denominator is the entity count still
 // connected after removal, matching the paper's "fraction of structured
 // entities in the largest component".
+//
+// Point k equals ComponentsExcluding(ranks 0..k-1).FracEntitiesInLargest,
+// but the curve is built in one union-find pass: remove the top
+// min(maxK, NumSites) sites and union the rest, then add the removed
+// sites back from the smallest to the largest. Adding a site only merges
+// components, so the running maximum of the per-root entity counts is
+// the largest component after every add.
 func (g *Bipartite) RobustnessCurve(maxK int) []float64 {
-	out := make([]float64, 0, maxK+1)
-	ranks := make([]int, 0, maxK)
-	for k := 0; k <= maxK; k++ {
-		c := g.ComponentsExcluding(ranks)
-		out = append(out, c.FracEntitiesInLargest())
-		ranks = append(ranks, k)
+	if maxK < 0 {
+		return []float64{}
+	}
+	out := make([]float64, maxK+1)
+	top := min(maxK, g.NumSites)
+	// live marks the entities connected to a site that is not removed.
+	uf := newUnionFind(len(g.adj))
+	live := make([]bool, g.NumEntities)
+	for _, s := range g.siteOrder[top:] {
+		for _, e := range g.adj[s] {
+			uf.union(s, int(e))
+			live[e] = true
+		}
+	}
+	// entities[root] counts the live entities of root's component.
+	entities := make([]int32, len(g.adj))
+	total, largest := 0, 0
+	for e, ok := range live {
+		if ok {
+			total++
+			r := uf.find(e)
+			entities[r]++
+			largest = max(largest, int(entities[r]))
+		}
+	}
+	frac := func() float64 {
+		return Components{LargestEntities: largest, TotalEntities: total}.FracEntitiesInLargest()
+	}
+	// Removing ranks beyond the last site removes nothing more.
+	for k := top; k <= maxK; k++ {
+		out[k] = frac()
+	}
+	for k := top - 1; k >= 0; k-- {
+		s := g.siteOrder[k]
+		for _, e := range g.adj[s] {
+			if !live[e] {
+				// Only a live site joins an entity to anything, so a
+				// newly connected entity is still its own singleton.
+				live[e] = true
+				total++
+				entities[e] = 1
+			}
+			rs, re := uf.find(s), uf.find(int(e))
+			if rs != re {
+				n := entities[rs] + entities[re]
+				entities[uf.union(rs, re)] = n
+				largest = max(largest, int(n))
+			}
+		}
+		out[k] = frac()
 	}
 	return out
 }
@@ -220,16 +277,18 @@ func (uf *unionFind) find(v int) int {
 	return v
 }
 
-func (uf *unionFind) union(a, b int) {
+// union merges the sets of a and b and returns the merged root.
+func (uf *unionFind) union(a, b int) int {
 	ra, rb := uf.find(a), uf.find(b)
 	if ra == rb {
-		return
+		return ra
 	}
 	if uf.size[ra] < uf.size[rb] {
 		ra, rb = rb, ra
 	}
 	uf.parent[rb] = int32(ra)
 	uf.size[ra] += uf.size[rb]
+	return ra
 }
 
 // Metrics bundles the Table 2 row for one (domain, attribute) graph.
@@ -251,22 +310,4 @@ func (g *Bipartite) ComputeMetrics() Metrics {
 		Components:        c.Count,
 		FracLargest:       c.FracEntitiesInLargest(),
 	}
-}
-
-// sortedByDegreeDesc returns the nodes of the largest component sorted
-// by descending degree (used to seed iFUB).
-func (g *Bipartite) sortedByDegreeDesc(c Components) []int {
-	var nodes []int
-	for v := range g.adj {
-		if len(g.adj[v]) > 0 && c.InLargest(v) {
-			nodes = append(nodes, v)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if len(g.adj[nodes[i]]) != len(g.adj[nodes[j]]) {
-			return len(g.adj[nodes[i]]) > len(g.adj[nodes[j]])
-		}
-		return nodes[i] < nodes[j]
-	})
-	return nodes
 }

@@ -3,13 +3,22 @@ package graph
 // Diameter computation. The paper computes exact diameters by running a
 // BFS from every node (§5.2); that is cubic-ish and fine on a grid but
 // not on a laptop. We implement iFUB (iterative Fringe Upper Bound,
-// Crescenzi et al.), which computes the EXACT diameter and typically
-// needs only a handful of BFS sweeps on small-world graphs like these.
-// A brute-force all-pairs variant is kept for testing and ablation.
+// Crescenzi, Grossi, Habib, Lanzi and Marino, "On computing the diameter
+// of real-world undirected graphs", TCS 2013), which computes the EXACT
+// diameter. iFUB levels the component from a start node u and then runs
+// a BFS from every node of the deepest fringe levels until the lower
+// bound reaches twice the current level, so its cost is the size of the
+// fringes it must visit. Starting from the highest-degree node is not
+// enough: on the diameter-8 phone graphs that node is off-center and
+// iFUB visits a whole large fringe level. The start is therefore picked
+// by the same paper's 4-sweep heuristic (four BFSes that land near the
+// center), which also seeds the lower bound. The brute-force all-pairs
+// oracle lives in the tests.
 
 // bfs runs a breadth-first traversal from src, writing distances into
 // dist (which must be len(adj) and pre-filled with -1). It returns the
-// eccentricity of src within its component and the visited nodes.
+// eccentricity of src within its component and the visited nodes in
+// BFS order, so the last visited node is one farthest from src.
 func bfs(adj [][]int32, src int, dist []int32, queue []int32) (ecc int, visited []int32) {
 	dist[src] = 0
 	queue = queue[:0]
@@ -36,44 +45,104 @@ func bfs(adj [][]int32, src int, dist []int32, queue []int32) (ecc int, visited 
 // component (0 for an empty or single-node component). The Components
 // argument must come from AllComponents on the same graph.
 func (g *Bipartite) DiameterLargest(c Components) int {
-	nodes := g.sortedByDegreeDesc(c)
-	if len(nodes) == 0 {
+	r1 := g.maxDegreeNode(c)
+	if r1 < 0 {
 		return 0
 	}
-	return g.ifub(nodes[0])
+	return g.ifub(r1)
 }
 
-// ifub runs the iFUB algorithm from the given start node (ideally a
-// high-degree node near the center of its component) and returns the
-// exact diameter of that node's component.
-func (g *Bipartite) ifub(start int) int {
-	n := len(g.adj)
-	dist := make([]int32, n)
-	scratch := make([]int32, n)
-	queue := make([]int32, 0, n)
-	reset := func(touched []int32) {
-		for _, v := range touched {
-			dist[v] = -1
+// maxDegreeNode returns the highest-degree node of the largest
+// component, the lowest id among equal degrees, or -1 if the component
+// has no edges.
+func (g *Bipartite) maxDegreeNode(c Components) int {
+	best := -1
+	for v := range g.adj {
+		if len(g.adj[v]) > 0 && c.InLargest(v) && (best < 0 || len(g.adj[v]) > len(g.adj[best])) {
+			best = v
 		}
 	}
-	for i := range dist {
-		dist[i] = -1
+	return best
+}
+
+// sweeper holds the BFS scratch of one diameter computation. dist is
+// all -1 between sweeps: each caller resets the nodes a sweep visited.
+type sweeper struct {
+	adj   [][]int32
+	dist  []int32
+	queue []int32
+}
+
+func newSweeper(adj [][]int32) *sweeper {
+	s := &sweeper{adj: adj, dist: make([]int32, len(adj)), queue: make([]int32, 0, len(adj))}
+	for i := range s.dist {
+		s.dist[i] = -1
 	}
+	return s
+}
+
+func (s *sweeper) sweep(src int) (ecc int, visited []int32) {
+	return bfs(s.adj, src, s.dist, s.queue)
+}
+
+func (s *sweeper) reset(visited []int32) {
+	for _, v := range visited {
+		s.dist[v] = -1
+	}
+}
+
+// walkBack returns the node at distance d from the last sweep's source
+// on a shortest path to v, found by stepping from v to any neighbor one
+// level closer. The last sweep's distances must still be in dist.
+func (s *sweeper) walkBack(v, d int) int {
+	for int(s.dist[v]) > d {
+		for _, u := range s.adj[v] {
+			if s.dist[u] == s.dist[v]-1 {
+				v = int(u)
+				break
+			}
+		}
+	}
+	return v
+}
+
+// fourSweep picks iFUB's start by the 4-sweep heuristic: from r1 sweep
+// to a farthest node a1 and from a1 to a farthest node b1; r2 is the
+// midpoint of that a1–b1 path. The double sweep repeats from r2, and the
+// midpoint of the a2–b2 path is the start. It also returns the largest
+// eccentricity the four sweeps saw, a lower bound on the diameter.
+func (s *sweeper) fourSweep(r1 int) (start, lb int) {
+	r := r1
+	for range 2 {
+		ecc, visited := s.sweep(r)
+		lb = max(lb, ecc)
+		a := int(visited[len(visited)-1])
+		s.reset(visited)
+
+		ecc, visited = s.sweep(a)
+		lb = max(lb, ecc)
+		r = s.walkBack(int(visited[len(visited)-1]), ecc/2)
+		s.reset(visited)
+	}
+	return r, lb
+}
+
+// ifub runs the iFUB algorithm from the 4-sweep start reached from r1
+// and returns the exact diameter of r1's component.
+func (g *Bipartite) ifub(r1 int) int {
+	s := newSweeper(g.adj)
+	start, lb := s.fourSweep(r1)
 
 	// Level the component from start.
-	eccStart, touched := bfs(g.adj, start, dist, queue)
-	if eccStart == 0 {
-		return 0
-	}
+	eccStart, touched := s.sweep(start)
 	// Bucket nodes by BFS level.
 	levels := make([][]int32, eccStart+1)
 	for _, v := range touched {
-		levels[dist[v]] = append(levels[dist[v]], v)
+		levels[s.dist[v]] = append(levels[s.dist[v]], v)
 	}
-	copy(scratch, dist)
-	reset(touched)
+	s.reset(touched)
 
-	lb := eccStart
+	lb = max(lb, eccStart)
 	// Process fringes from the deepest level inward. Invariant: any node
 	// at level i has eccentricity at most 2i (via start), so once
 	// 2*(i) <= lb the current lb is the exact diameter.
@@ -82,11 +151,9 @@ func (g *Bipartite) ifub(start int) int {
 			return lb
 		}
 		for _, v := range levels[i] {
-			ecc, touched := bfs(g.adj, int(v), dist, queue)
-			if ecc > lb {
-				lb = ecc
-			}
-			reset(touched)
+			ecc, touched := s.sweep(int(v))
+			lb = max(lb, ecc)
+			s.reset(touched)
 			if 2*i <= lb {
 				// Upper bound for all remaining nodes (levels <= i) is
 				// 2i; lb has met it.
@@ -97,42 +164,12 @@ func (g *Bipartite) ifub(start int) int {
 	return lb
 }
 
-// DiameterBrute computes the diameter of the largest component by
-// running a BFS from every node in it — the paper's method, kept as the
-// correctness oracle for iFUB and as the ablation baseline.
-func (g *Bipartite) DiameterBrute(c Components) int {
-	n := len(g.adj)
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]int32, 0, n)
-	max := 0
-	for v := 0; v < n; v++ {
-		if len(g.adj[v]) == 0 || !c.InLargest(v) {
-			continue
-		}
-		ecc, touched := bfs(g.adj, v, dist, queue)
-		if ecc > max {
-			max = ecc
-		}
-		for _, u := range touched {
-			dist[u] = -1
-		}
-	}
-	return max
-}
-
 // Eccentricity returns the BFS eccentricity of node v within its
 // component, or -1 if v has no edges.
 func (g *Bipartite) Eccentricity(v int) int {
 	if v < 0 || v >= len(g.adj) || len(g.adj[v]) == 0 {
 		return -1
 	}
-	dist := make([]int32, len(g.adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	ecc, _ := bfs(g.adj, v, dist, nil)
+	ecc, _ := newSweeper(g.adj).sweep(v)
 	return ecc
 }

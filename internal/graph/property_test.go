@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -107,5 +108,81 @@ func TestPropertyDiameterAtLeastAnyEccentricity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropertyIFUBMatchesBrute: the 4-sweep-started iFUB equals the
+// all-sources BFS oracle on random graphs, sparse chains included.
+func TestPropertyIFUBMatchesBrute(t *testing.T) {
+	f := func(seed uint64) bool {
+		g := randomGraph(seed)
+		c := g.AllComponents()
+		return g.DiameterLargest(c) == diameterBrute(g, c)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// robustnessOracle is Figure 9 by definition: one ComponentsExcluding
+// per k, removing ranks 0..k-1.
+func robustnessOracle(g *Bipartite, maxK int) []float64 {
+	out := make([]float64, 0, maxK+1)
+	ranks := make([]int, 0, maxK)
+	for k := 0; k <= maxK; k++ {
+		out = append(out, g.ComponentsExcluding(ranks).FracEntitiesInLargest())
+		ranks = append(ranks, k)
+	}
+	return out
+}
+
+// TestPropertyRobustnessCurveMatchesOracle: the one-pass curve equals
+// the per-k oracle with exact float equality, for maxK from 0 to past
+// the site count (where every entity loses all its sites).
+func TestPropertyRobustnessCurveMatchesOracle(t *testing.T) {
+	f := func(seed uint64, k uint8) bool {
+		g := randomGraph(seed)
+		maxK := int(k) % (g.NumSites + 4)
+		return slices.Equal(g.RobustnessCurve(maxK), robustnessOracle(g, maxK))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestRobustnessCurveEdgeCases(t *testing.T) {
+	// solo.com (rank 0) alone holds entities 0..5, so removing it
+	// orphans them; past the two sites nothing is connected.
+	g, err := FromIndex(mkIndex(t, map[string][]int{
+		"solo.com": {0, 1, 2, 3, 4, 5},
+		"pair.com": {6, 7},
+	}, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxK := range []int{0, 1, 2, 5} {
+		got, want := g.RobustnessCurve(maxK), robustnessOracle(g, maxK)
+		if !slices.Equal(got, want) {
+			t.Errorf("maxK=%d: curve %v, oracle %v", maxK, got, want)
+		}
+	}
+	if got, want := g.RobustnessCurve(5), []float64{0.75, 1, 0, 0, 0, 0}; !slices.Equal(got, want) {
+		t.Errorf("curve = %v, want %v", got, want)
+	}
+	if got := g.RobustnessCurve(-1); len(got) != 0 {
+		t.Errorf("RobustnessCurve(-1) = %v, want empty", got)
+	}
+}
+
+// TestComponentsLargestIDTieBreak: among components with equal entity
+// counts the largest is the one with the lowest union-find root.
+func TestComponentsLargestIDTieBreak(t *testing.T) {
+	g, err := FromIndex(mkIndex(t, map[string][]int{"a.com": {0, 1}, "b.com": {2, 3}}, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.AllComponents()
+	if want := int(min(c.roots[0], c.roots[2])); c.LargestID != want || c.LargestEntities != 2 {
+		t.Errorf("LargestID = %d (%d entities), want root %d", c.LargestID, c.LargestEntities, want)
 	}
 }
