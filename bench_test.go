@@ -1,7 +1,9 @@
 // Package repro's root benchmark harness: one benchmark per table and
 // figure of the paper (regenerating the analysis behind it), plus the
-// ablation benchmarks DESIGN.md calls out for the design choices made
-// in this reproduction. Run with:
+// end-to-end extraction, demand, segment and index-aggregation rows.
+// Ablations that measure a test-only oracle (set cover, cookie
+// sketches, DOM extraction, regex matching) live next to that oracle in
+// its package's tests. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -14,8 +16,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/bootstrap"
@@ -24,7 +24,6 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/demand"
 	"repro/internal/entity"
-	"repro/internal/extract"
 	"repro/internal/htmlx"
 	"repro/internal/index"
 	"repro/internal/logs"
@@ -244,13 +243,10 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractIndexes is the cold-build headline of the streaming
-// extraction PR: the same web extracted by the fused streaming pipeline
-// (ExtractIndexes) versus the retained-DOM pipeline it replaced —
-// render []Page, htmlx.Parse per page, joined Text, regex matching —
-// replicated here verbatim as the measured baseline. Compare ns/op and
-// allocs/op between the two sub-benchmarks; scripts/bench.sh records
-// both in BENCH_4.json.
+// BenchmarkExtractIndexes is the cold-build extraction row: a banks web
+// extracted by the fused streaming pipeline (ExtractIndexes), recorded
+// by scripts/bench.sh. internal/extract's BenchmarkAblationExtract
+// measures the session against the retained-DOM oracle page by page.
 func BenchmarkExtractIndexes(b *testing.B) {
 	web, err := synth.Generate(synth.Config{
 		Domain: entity.Banks, Entities: 300, DirectoryHosts: 450, Seed: 3,
@@ -265,51 +261,6 @@ func BenchmarkExtractIndexes(b *testing.B) {
 				b.Fatal(err)
 			}
 			if idxs[entity.AttrPhone].TotalPostings() == 0 {
-				b.Fatal("empty phone index")
-			}
-		}
-	})
-	b.Run("dom", func(b *testing.B) {
-		x, err := extract.New(web.DB, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		workers := runtime.GOMAXPROCS(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			attrs := entity.AttrsFor(web.Config.Domain)
-			sharded := make(map[entity.Attr]*index.ShardedBuilder, len(attrs))
-			for _, a := range attrs {
-				universe := web.Config.Entities
-				if a == entity.AttrHomepage {
-					universe = len(web.DB.WithHomepage())
-				}
-				sharded[a] = index.NewShardedBuilder(web.Config.Domain, a, universe, 4*workers)
-			}
-			siteCh := make(chan *synth.Site, workers)
-			var wg sync.WaitGroup
-			for wk := 0; wk < workers; wk++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for s := range siteCh {
-						for _, p := range web.RenderSite(s) {
-							for _, m := range x.Page(p.HTML) {
-								if bd, ok := sharded[m.Attr]; ok {
-									bd.Add(s.Host, m.EntityID)
-								}
-							}
-						}
-					}
-				}()
-			}
-			for si := range web.Sites {
-				siteCh <- &web.Sites[si]
-			}
-			close(siteCh)
-			wg.Wait()
-			idx, err := sharded[entity.AttrPhone].Build()
-			if err != nil || idx.TotalPostings() == 0 {
 				b.Fatal("empty phone index")
 			}
 		}
@@ -352,7 +303,7 @@ func BenchmarkRunAll(b *testing.B) {
 }
 
 // BenchmarkGenerate measures the §4 demand workload end to end under
-// four architectures:
+// three architectures:
 //
 //   - serial: the wire-format fold — Simulate materializes each click
 //     to logs.Click and Aggregator.Add resolves the URL back to its
@@ -365,10 +316,6 @@ func BenchmarkRunAll(b *testing.B) {
 //     cache-blocked per-block delta folds), no URL ever built or
 //     parsed. TestFoldBatchMatchesAddRef pins it bit-identical to the
 //     scalar AddRef loop it replaced.
-//   - serial-ref-scalar: the same fold one AddRef at a time — the
-//     PR 5 architecture, kept as the columnar row's ablation baseline.
-//   - serialgen-shardedagg: serial ref generation feeding 4 concurrent
-//     shard workers (SimulateParallel; shards fold columnar batches).
 //   - pipeline/gen=N: the fully concurrent path (GeneratePipeline).
 //
 // The PR 6 contract: serial-ref ≤ 15 ms/op and pipeline/gen=4 ≤ 22
@@ -416,31 +363,6 @@ func BenchmarkGenerate(b *testing.B) {
 				b.Fatal(err)
 			}
 			moved += agg.BytesMoved()
-		}
-		perClick(b, moved)
-	})
-	b.Run("serial-ref-scalar", func(b *testing.B) {
-		events(b)
-		var moved uint64
-		for i := 0; i < b.N; i++ {
-			agg := demand.NewAggregator(cat)
-			agg.SetCookieHint(cfg.Cookies)
-			if err := demand.SimulateRefs(cat, cfg, agg.AddRef); err != nil {
-				b.Fatal(err)
-			}
-			moved += agg.BytesMoved()
-		}
-		perClick(b, moved)
-	})
-	b.Run("serialgen-shardedagg", func(b *testing.B) {
-		events(b)
-		var moved uint64
-		for i := 0; i < b.N; i++ {
-			sa, err := demand.SimulateParallel(cat, cfg, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			moved += sa.BytesMoved()
 		}
 		perClick(b, moved)
 	})
@@ -539,8 +461,7 @@ func BenchmarkSegment(b *testing.B) {
 }
 
 // BenchmarkGenerateOnly isolates click synthesis (no aggregation):
-// serial Simulate against SimulateRange leapfrog-fanned across N
-// goroutines — the raw throughput the stream-splitting scheme unlocks.
+// serial Simulate, wire clicks included.
 func BenchmarkGenerateOnly(b *testing.B) {
 	cat, err := benchStudy.Catalog(logs.Amazon)
 	if err != nil {
@@ -564,154 +485,9 @@ func BenchmarkGenerateOnly(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("range=%d", workers), func(b *testing.B) {
-			events(b)
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				chunk := (cfg.Events + workers - 1) / workers
-				for _, src := range []logs.Source{logs.Search, logs.Browse} {
-					for w := 0; w < workers; w++ {
-						lo := w * chunk
-						hi := lo + chunk
-						if hi > cfg.Events {
-							hi = cfg.Events
-						}
-						if lo >= hi {
-							continue
-						}
-						wg.Add(1)
-						go func(src logs.Source, lo, hi int) {
-							defer wg.Done()
-							if err := demand.SimulateRange(cat, cfg, src, lo, hi,
-								func(logs.Click) error { return nil }); err != nil {
-								b.Error(err)
-							}
-						}(src, lo, hi)
-					}
-				}
-				wg.Wait()
-			}
-		})
-	}
 }
 
 // --- Ablations (DESIGN.md §5) ---
-
-// BenchmarkAblationSetCoverLazy vs ...Naive: the lazy-greedy heap
-// against the textbook rescanning greedy.
-func BenchmarkAblationSetCoverLazy(b *testing.B) {
-	idx := benchIndex(b, entity.Banks, entity.AttrPhone)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := coverage.GreedySetCover(idx, 200); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSetCoverNaive(b *testing.B) {
-	idx := benchIndex(b, entity.Banks, entity.AttrPhone)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := coverage.GreedySetCoverNaive(idx, 200); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationCookiesExact vs ...Sketch: exact distinct-cookie
-// sets against HyperLogLog sketches.
-func BenchmarkAblationCookiesExact(b *testing.B) {
-	cat, err := benchStudy.Catalog(logs.Yelp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := demand.SimConfig{Events: 50000, Cookies: 20000, Seed: 5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := demand.NewAggregator(cat)
-		if err := demand.Simulate(cat, cfg, func(c logs.Click) error {
-			agg.Add(c)
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationCookiesSketch(b *testing.B) {
-	cat, err := benchStudy.Catalog(logs.Yelp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := demand.SimConfig{Events: 50000, Cookies: 20000, Seed: 5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg, err := demand.NewSketchAggregator(cat, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := demand.Simulate(cat, cfg, func(c logs.Click) error {
-			agg.Add(c)
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationMatchRegex vs ...AhoCorasick: page-text phone
-// matching via regex-extract-then-lookup vs one-pass multi-pattern
-// search over all database phones.
-func ablationPages(b *testing.B) (*entity.DB, []string) {
-	b.Helper()
-	web, err := synth.Generate(synth.Config{
-		Domain: entity.Hotels, Entities: 2000, DirectoryHosts: 100, Seed: 9,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var texts []string
-	for si := range web.Sites[:20] {
-		for _, p := range web.RenderSite(&web.Sites[si]) {
-			texts = append(texts, string(p.HTML))
-		}
-	}
-	return web.DB, texts
-}
-
-func BenchmarkAblationMatchRegex(b *testing.B) {
-	db, texts := ablationPages(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0
-		for _, t := range texts {
-			total += len(extract.MatchPhones(db, t))
-		}
-		if total == 0 {
-			b.Fatal("no matches")
-		}
-	}
-}
-
-func BenchmarkAblationMatchAhoCorasick(b *testing.B) {
-	db, texts := ablationPages(b)
-	ac, err := extract.PhoneAutomaton(db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0
-		for _, t := range texts {
-			total += len(ac.FindValues(t))
-		}
-		if total == 0 {
-			b.Fatal("no matches")
-		}
-	}
-}
 
 // BenchmarkAblationIndexSerial vs ...Sharded: single-threaded index
 // aggregation against the host-sharded concurrent reducer.
@@ -779,10 +555,29 @@ func BenchmarkAblationIndexSharded(b *testing.B) {
 	}
 }
 
+// htmlPages renders the pages of the first 20 sites of a hotels web.
+func htmlPages(b *testing.B) []string {
+	b.Helper()
+	web, err := synth.Generate(synth.Config{
+		Domain: entity.Hotels, Entities: 2000, DirectoryHosts: 100, Seed: 9,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var texts []string
+	for si := range web.Sites[:20] {
+		for _, p := range web.RenderSite(&web.Sites[si]) {
+			texts = append(texts, string(p.HTML))
+		}
+	}
+	return texts
+}
+
 // BenchmarkHTMLParse measures the tokenizer+DOM+text-extraction cost on
-// rendered pages — the extraction pipeline's per-page work.
+// rendered pages — the retained-DOM parse the extraction oracle runs
+// per page.
 func BenchmarkHTMLParse(b *testing.B) {
-	_, texts := ablationPages(b)
+	texts := htmlPages(b)
 	var total int
 	for _, t := range texts {
 		total += len(t)

@@ -22,7 +22,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/entity"
-	"repro/internal/extract"
 	"repro/internal/synth"
 )
 
@@ -59,9 +58,7 @@ func run() error {
 	}
 	var nb *classify.NaiveBayes
 	if d == entity.Restaurants {
-		tr := extract.NewTrainer(1)
-		web.TrainingCorpus(400, *seed^0xc1a551f7, tr.Add)
-		nb, err = tr.Classifier()
+		nb, err = core.NewReviewClassifier(web, *seed)
 		if err != nil {
 			return err
 		}

@@ -54,27 +54,23 @@ func WriteWARC(web *synth.Web, w io.Writer, gz bool) (*warc.CDX, error) {
 }
 
 // ExtractWARC runs the extraction pipeline over a WARC stream: each
-// response record is parsed and mined for entity mentions, aggregated by
-// the record's host. reviewClf is required for the restaurants domain.
-// It returns the per-attribute indexes and the number of pages
-// processed.
+// response record streams through one extract.Session, and an
+// extract.Indexer aggregates its mentions by the record's host — the
+// same path synth.Web.ExtractIndexes runs over rendered pages.
+// reviewClf is required for the restaurants domain. It returns the
+// per-attribute indexes and the number of pages processed.
 func ExtractWARC(r io.Reader, db *entity.DB, reviewClf *classify.NaiveBayes) (map[entity.Attr]*index.Index, int, error) {
-	x, err := extract.New(db, reviewClf)
+	ix, err := extract.NewIndexer(db, reviewClf, 1)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: build extractor: %w", err)
+		return nil, 0, fmt.Errorf("core: %w", err)
+	}
+	sess, err := ix.NewSession()
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: build extraction session: %w", err)
 	}
 	wr, err := warc.NewReader(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: open warc: %w", err)
-	}
-	attrs := entity.AttrsFor(db.Domain)
-	builders := make(map[entity.Attr]*index.Builder, len(attrs))
-	for _, a := range attrs {
-		universe := db.N()
-		if a == entity.AttrHomepage {
-			universe = len(db.WithHomepage())
-		}
-		builders[a] = index.NewBuilder(db.Domain, a, universe)
 	}
 	pages := 0
 	for {
@@ -97,28 +93,11 @@ func ExtractWARC(r io.Reader, db *entity.DB, reviewClf *classify.NaiveBayes) (ma
 			continue // non-HTTP response records are not crawl pages
 		}
 		pages++
-		pageReview := false
-		for _, m := range x.Page(body) {
-			if b, ok := builders[m.Attr]; ok {
-				b.Add(host, m.EntityID)
-			}
-			if m.Attr == entity.AttrReview {
-				pageReview = true
-			}
-		}
-		if pageReview {
-			builders[entity.AttrReview].AddPage(host)
-		}
+		ix.Add(host, sess.Page(body))
 	}
-	out := make(map[entity.Attr]*index.Index, len(builders))
-	for a, b := range builders {
-		out[a] = b.Build()
+	idxs, err := ix.Indexes()
+	if err != nil {
+		return nil, pages, fmt.Errorf("core: %w", err)
 	}
-	// The review universe is the set of reviewed entities (§3.4).
-	if idx, ok := out[entity.AttrReview]; ok {
-		if n := idx.DistinctEntities(); n > 0 {
-			idx.NumEntities = n
-		}
-	}
-	return out, pages, nil
+	return idxs, pages, nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/classify"
 	"repro/internal/entity"
 	"repro/internal/synth"
 )
@@ -20,43 +21,64 @@ func smallWeb(t *testing.T, d entity.Domain) *synth.Web {
 	return w
 }
 
+// TestWriteWARCAndExtractRoundTrip: a crawl written to WARC and
+// extracted back yields exactly the model's indexes — sites, entity
+// sets, page counts and coverage denominators — for an ISBN domain, a
+// phone domain, and restaurants with the study's review classifier.
+// Gzipped records run on banks only: a gzip writer per record makes the
+// review-heavy restaurants crawl take seconds to write.
 func TestWriteWARCAndExtractRoundTrip(t *testing.T) {
-	for _, gz := range []bool{false, true} {
-		w := smallWeb(t, entity.Banks)
+	for _, tc := range []struct {
+		d  entity.Domain
+		gz bool
+	}{{entity.Books, false}, {entity.Banks, false}, {entity.Banks, true}, {entity.Restaurants, false}} {
+		w := smallWeb(t, tc.d)
+		var clf *classify.NaiveBayes
+		if tc.d == entity.Restaurants {
+			var err error
+			if clf, err = NewReviewClassifier(w, 17); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var buf bytes.Buffer
-		cdx, err := WriteWARC(w, &buf, gz)
+		cdx, err := WriteWARC(w, &buf, tc.gz)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(cdx.Entries) == 0 {
 			t.Fatal("empty capture index")
 		}
-		idxs, pages, err := ExtractWARC(bytes.NewReader(buf.Bytes()), w.DB, nil)
+		idxs, pages, err := ExtractWARC(bytes.NewReader(buf.Bytes()), w.DB, clf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pages != len(cdx.Entries) {
-			t.Errorf("gz=%v: processed %d pages, cdx has %d", gz, pages, len(cdx.Entries))
+			t.Errorf("%s gz=%v: processed %d pages, cdx has %d", tc.d, tc.gz, pages, len(cdx.Entries))
 		}
 		direct := w.DirectIndexes()
-		for _, a := range []entity.Attr{entity.AttrPhone, entity.AttrHomepage} {
-			got := flattenIndex(idxs[a])
-			want := flattenIndex(direct[a])
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("gz=%v: WARC-extracted %s index differs from model", gz, a)
-			}
-			if idxs[a].NumEntities != direct[a].NumEntities {
-				t.Errorf("gz=%v: %s universes differ: %d vs %d",
-					gz, a, idxs[a].NumEntities, direct[a].NumEntities)
+		if len(idxs) != len(direct) {
+			t.Fatalf("%s gz=%v: %d indexes, want %d", tc.d, tc.gz, len(idxs), len(direct))
+		}
+		for a, want := range direct {
+			if got := idxs[a]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s gz=%v: WARC-extracted %s index differs from the model", tc.d, tc.gz, a)
 			}
 		}
 	}
 }
 
-func flattenIndex(idx interface {
-	TotalPostings() int
-}) int {
-	return idx.TotalPostings()
+// TestExtractWARCNeedsReviewClassifier: restaurants without a review
+// classifier is an error, as it is for synth.Web.ExtractIndexes, not a
+// silently empty review index.
+func TestExtractWARCNeedsReviewClassifier(t *testing.T) {
+	w := smallWeb(t, entity.Restaurants)
+	var buf bytes.Buffer
+	if _, err := WriteWARC(w, &buf, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ExtractWARC(bytes.NewReader(buf.Bytes()), w.DB, nil); err == nil {
+		t.Fatal("restaurants extraction without a classifier should fail")
+	}
 }
 
 func TestWriteWARCDeterministic(t *testing.T) {

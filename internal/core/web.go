@@ -49,14 +49,22 @@ func (s *Study) ReviewClassifier() (*classify.NaiveBayes, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Stream the labeled corpus through the trainer page by page —
-		// no [][]byte corpus is ever materialized.
-		tr := extract.NewTrainer(1)
-		w.TrainingCorpus(400, s.cfg.Seed^0xc1a551f7, tr.Add)
-		nb, err := tr.Classifier()
-		if err != nil {
-			return nil, fmt.Errorf("core: train review classifier: %w", err)
-		}
-		return nb, nil
+		return NewReviewClassifier(w, s.cfg.Seed)
 	})
+}
+
+// NewReviewClassifier trains the review classifier for a restaurants
+// web generated under seed. It is the one training recipe (corpus size
+// and seed salt) behind Study.ReviewClassifier and cmd/extract, so an
+// archive extracted from the command line classifies pages exactly as
+// the study does. The labeled corpus streams through the trainer page
+// by page; no [][]byte corpus is ever materialized.
+func NewReviewClassifier(w *synth.Web, seed uint64) (*classify.NaiveBayes, error) {
+	tr := extract.NewTrainer(1)
+	w.TrainingCorpus(400, seed^0xc1a551f7, tr.Add)
+	nb, err := tr.Classifier()
+	if err != nil {
+		return nil, fmt.Errorf("core: train review classifier: %w", err)
+	}
+	return nb, nil
 }

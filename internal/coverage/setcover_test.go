@@ -1,12 +1,14 @@
 package coverage
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/entity"
 	"repro/internal/index"
+	"repro/internal/synth"
 )
 
 func TestGreedySetCoverHandCase(t *testing.T) {
@@ -143,5 +145,71 @@ func TestGreedyValidation(t *testing.T) {
 	}
 	if _, _, err := GreedySetCoverNaive(bad, 0); err == nil {
 		t.Error("naive zero universe should fail")
+	}
+}
+
+// GreedySetCoverNaive is the textbook O(sites² · postings) greedy: it
+// rescans every remaining site at every step. It is the oracle
+// GreedySetCover's lazy heap must agree with, and the baseline of
+// BenchmarkAblationSetCover.
+func GreedySetCoverNaive(idx *index.Index, maxSites int) (order []int, covered []int, err error) {
+	if idx.NumEntities <= 0 {
+		return nil, nil, fmt.Errorf("coverage: index has no entity universe")
+	}
+	if maxSites <= 0 || maxSites > len(idx.Sites) {
+		maxSites = len(idx.Sites)
+	}
+	coveredSet := make(map[int]struct{})
+	used := make([]bool, len(idx.Sites))
+	cum := 0
+	for len(order) < maxSites {
+		best, bestGain := -1, 0
+		for i := range idx.Sites {
+			if used[i] {
+				continue
+			}
+			g := 0
+			for _, e := range idx.Sites[i].Entities {
+				if _, ok := coveredSet[e]; !ok {
+					g++
+				}
+			}
+			if g > bestGain {
+				best, bestGain = i, g
+			}
+		}
+		if best < 0 {
+			break
+		}
+		used[best] = true
+		for _, e := range idx.Sites[best].Entities {
+			coveredSet[e] = struct{}{}
+		}
+		cum = len(coveredSet)
+		order = append(order, best)
+		covered = append(covered, cum)
+	}
+	return order, covered, nil
+}
+
+// BenchmarkAblationSetCover: the lazy-greedy heap against the textbook
+// rescanning greedy, on a banks phone index.
+func BenchmarkAblationSetCover(b *testing.B) {
+	w, err := synth.Generate(synth.Config{Domain: entity.Banks, Entities: 6000, DirectoryHosts: 9000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx := w.DirectIndexes()[entity.AttrPhone]
+	for _, bc := range []struct {
+		name  string
+		cover func(*index.Index, int) ([]int, []int, error)
+	}{{"lazy", GreedySetCover}, {"naive", GreedySetCoverNaive}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := bc.cover(idx, 200); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -128,7 +128,7 @@ func TestFoldBatchMatchesAddRef(t *testing.T) {
 }
 
 // TestSimulateRefBatchesMatchesSimulateRefs: the batch-producing
-// simulation driver feeds FoldBatch the exact stream SimulateRefs
+// simulation driver feeds FoldBatch the exact stream simulateRefs
 // feeds AddRef, for batch sizes that don't divide the stream and the
 // default size.
 func TestSimulateRefBatchesMatchesSimulateRefs(t *testing.T) {
@@ -136,7 +136,7 @@ func TestSimulateRefBatchesMatchesSimulateRefs(t *testing.T) {
 	cfg := SimConfig{Events: 3000, Cookies: 800, Seed: 11}
 	ref := NewAggregator(cat)
 	ref.SetCookieHint(cfg.Cookies)
-	if err := SimulateRefs(cat, cfg, ref.AddRef); err != nil {
+	if err := simulateRefs(cat, cfg, ref.AddRef); err != nil {
 		t.Fatal(err)
 	}
 	for _, size := range []int{0, 1, 7, 1000, 1 << 20} {
@@ -146,7 +146,7 @@ func TestSimulateRefBatchesMatchesSimulateRefs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, want := estimateBytes(t, agg), estimateBytes(t, ref); !bytes.Equal(got, want) {
-			t.Fatalf("batch size %d: estimates differ from scalar SimulateRefs", size)
+			t.Fatalf("batch size %d: estimates differ from scalar simulateRefs", size)
 		}
 		// Same bounded relationship as TestFoldBatchMatchesAddRef: the
 		// batch fold's visit-touch coalescing may only shrink the

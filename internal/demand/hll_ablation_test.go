@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"testing"
 
 	"repro/internal/logs"
 )
 
-// HLL is a HyperLogLog distinct-count sketch, the ablation alternative
-// to exact per-entity cookie sets (DESIGN.md: BenchmarkAblationCookies).
-// At web scale the exact sets the paper could afford on a grid do not
-// fit in one process; HLL trades ~2% relative error for constant space.
+// HLL is a HyperLogLog distinct-count sketch, the test-only ablation
+// alternative to exact per-entity cookie sets (BenchmarkAblationCookies
+// below). At web scale the exact sets the paper could afford on a grid
+// do not fit in one process; HLL trades ~2% relative error for constant
+// space.
 type HLL struct {
 	p    uint8 // precision: m = 2^p registers
 	regs []uint8
@@ -112,13 +114,6 @@ func (h *HLL) Merge(other *HLL) error {
 	return nil
 }
 
-// mix64 is the SplitMix64 finalizer, a strong 64-bit mixer.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // SketchAggregator mirrors Aggregator but counts unique cookies with
 // HyperLogLog sketches instead of exact sets. Like Aggregator, state
 // is struct-of-arrays: a dense visit column and a parallel
@@ -205,4 +200,38 @@ func (sa *SketchAggregator) Demand(source logs.Source) []Estimate {
 		}
 	}
 	return out
+}
+
+// BenchmarkAblationCookies folds one simulated yelp click stream with
+// exact distinct-cookie sets (Aggregator) and with HyperLogLog sketches
+// (SketchAggregator).
+func BenchmarkAblationCookies(b *testing.B) {
+	cat, err := GenerateCatalog(SiteDefaults(logs.Yelp, 8000, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := SimConfig{Events: 50000, Cookies: 20000, Seed: 5}
+	run := func(b *testing.B, newAgg func() func(logs.Click)) {
+		for i := 0; i < b.N; i++ {
+			add := newAgg()
+			if err := Simulate(cat, cfg, func(c logs.Click) error {
+				add(c)
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("exact", func(b *testing.B) {
+		run(b, func() func(logs.Click) { return NewAggregator(cat).Add })
+	})
+	b.Run("sketch", func(b *testing.B) {
+		run(b, func() func(logs.Click) {
+			sa, err := NewSketchAggregator(cat, 12)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return sa.Add
+		})
+	})
 }

@@ -20,7 +20,7 @@ func foldFixture(t *testing.T, events int) (*Aggregator, []ClickRef) {
 	cat := testCatalog(t, logs.Amazon, 500)
 	cfg := SimConfig{Events: events, Cookies: 200, Seed: 11}
 	var refs []ClickRef
-	if err := SimulateRefs(cat, cfg, func(r ClickRef) { refs = append(refs, r) }); err != nil {
+	if err := simulateRefs(cat, cfg, func(r ClickRef) { refs = append(refs, r) }); err != nil {
 		t.Fatal(err)
 	}
 	agg := NewAggregator(cat)

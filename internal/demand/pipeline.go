@@ -157,12 +157,12 @@ func runGenerators(cat *Catalog, cfg SimConfig, p PipelineConfig, stop *atomic.B
 // hashed or parsed — and spent batches recycle shard → router through
 // a free list, so the steady state allocates nothing. Each shard
 // worker folds its recycled batches through the cache-blocked columnar
-// FoldBatch, not a per-ref AddRef loop. For a fixed seed
-// the merged result is byte-identical to serial Simulate +
-// Aggregator.Add — and to SimulateParallel — for every
-// (Generators, Shards, Window) setting: windows are exact sub-ranges of
-// the same per-source streams, routing is a pure function of the
-// click's entity, and per-entity aggregation is order-independent.
+// FoldBatch, not a per-ref AddRef loop. For a fixed seed the merged
+// result is byte-identical to serial Simulate + Aggregator.Add for
+// every (Generators, Shards, Window) setting: windows are exact
+// sub-ranges of the same per-source streams, routing is a pure
+// function of the click's entity, and per-entity aggregation is
+// order-independent.
 func GeneratePipeline(cat *Catalog, cfg SimConfig, p PipelineConfig) (*ShardedAggregator, error) {
 	if len(cat.Entities) == 0 {
 		return nil, fmt.Errorf("demand: empty catalog")
@@ -195,7 +195,7 @@ func GeneratePipeline(cat *Catalog, cfg SimConfig, p PipelineConfig) (*ShardedAg
 // GenerateOrderedRefs simulates the click streams for cat with
 // parallel per-window generator workers but delivers the refs to emit
 // from a single goroutine in canonical stream order — exactly the
-// sequence SimulateRefs produces — for consumers that need an ordered
+// sequence SimulateRefBatches produces — for consumers that need an ordered
 // stream (segment stores, log files, canonical hashing). A reorder
 // buffer holds windows that finish ahead of their turn; its size is
 // bounded by the workers' window skew. An emit error stops generation

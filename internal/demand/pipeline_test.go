@@ -61,24 +61,6 @@ func TestGeneratePipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGeneratePipelineMatchesSimulateParallel: the two parallel paths
-// agree with each other too.
-func TestGeneratePipelineMatchesSimulateParallel(t *testing.T) {
-	cat := testCatalog(t, logs.Yelp, 150)
-	cfg := SimConfig{Events: 8000, Cookies: 1000, Seed: 31}
-	sp, err := SimulateParallel(cat, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp, err := GeneratePipeline(cat, cfg, PipelineConfig{Generators: 5, Shards: 2, Window: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(estimateBytes(t, sp), estimateBytes(t, gp)) {
-		t.Fatal("GeneratePipeline and SimulateParallel disagree")
-	}
-}
-
 func TestGeneratePipelineEmptyCatalog(t *testing.T) {
 	if _, err := GeneratePipeline(&Catalog{Site: logs.Yelp}, SimConfig{}, PipelineConfig{}); err == nil {
 		t.Error("empty catalog should fail")
@@ -171,82 +153,43 @@ func TestGenWindowsPartition(t *testing.T) {
 	}
 }
 
-// TestSimulateRangeValidation covers the range API's error paths.
-func TestSimulateRangeValidation(t *testing.T) {
-	cat := testCatalog(t, logs.Yelp, 10)
-	emit := func(logs.Click) error { return nil }
-	if err := SimulateRange(cat, SimConfig{}, "weird", 0, 10, emit); err == nil {
-		t.Error("unknown source should fail")
-	}
-	if err := SimulateRange(cat, SimConfig{}, logs.Search, -1, 10, emit); err == nil {
-		t.Error("negative lo should fail")
-	}
-	if err := SimulateRange(cat, SimConfig{}, logs.Search, 10, 5, emit); err == nil {
-		t.Error("hi < lo should fail")
-	}
-	if err := SimulateRange(&Catalog{Site: logs.Yelp}, SimConfig{}, logs.Search, 0, 5, emit); err == nil {
-		t.Error("empty catalog should fail")
-	}
-}
-
-// TestSimulateRangePartition: any partition of the event index space
-// concatenates to the unsplit source stream — the demand-level face of
-// the leapfrog contract.
-func TestSimulateRangePartition(t *testing.T) {
+// TestGenerateRefsPartition: any partition of a source's event index
+// space concatenates to the unsplit stream — the demand-level face of
+// the leapfrog contract every parallel entry point builds on — and the
+// stream extends deterministically past cfg.Events.
+func TestGenerateRefsPartition(t *testing.T) {
 	cat := testCatalog(t, logs.Amazon, 80)
-	cfg := SimConfig{Events: 4000, Cookies: 500, Seed: 77}
+	cfg := withSimDefaults(SimConfig{Events: 4000, Cookies: 500, Seed: 77}, len(cat.Entities))
+	collect := func(sp *sourceSampler, lo, hi int, dst []ClickRef) []ClickRef {
+		sp.generateRefs(lo, hi, func(r ClickRef) bool {
+			dst = append(dst, r)
+			return true
+		})
+		return dst
+	}
 	for _, src := range sources {
-		var full []logs.Click
-		if err := SimulateRange(cat, cfg, src, 0, cfg.Events, func(c logs.Click) error {
-			full = append(full, c)
-			return nil
-		}); err != nil {
+		sp, err := newSourceSampler(cat, cfg, src)
+		if err != nil {
 			t.Fatal(err)
 		}
-		// Uneven boundaries, including an empty segment.
-		bounds := []int{0, 1, 1, 137, 1000, 2048, 3999, 4000}
-		var got []logs.Click
+		// The unsplit stream runs past cfg.Events; uneven boundaries
+		// include an empty segment and one beyond the simulated year.
+		full := collect(sp, 0, 4200, nil)
+		if len(full) != 4200 {
+			t.Fatalf("%s: %d refs, want 4200", src, len(full))
+		}
+		bounds := []int{0, 1, 1, 137, 1000, 2048, 3999, 4000, 4200}
+		var got []ClickRef
 		for i := 1; i < len(bounds); i++ {
-			if err := SimulateRange(cat, cfg, src, bounds[i-1], bounds[i], func(c logs.Click) error {
-				got = append(got, c)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
+			got = collect(sp, bounds[i-1], bounds[i], got)
 		}
 		if len(got) != len(full) {
-			t.Fatalf("%s: concatenation has %d clicks, want %d", src, len(got), len(full))
+			t.Fatalf("%s: concatenation has %d refs, want %d", src, len(got), len(full))
 		}
 		for i := range full {
 			if got[i] != full[i] {
-				t.Fatalf("%s: click %d differs across partition", src, i)
+				t.Fatalf("%s: ref %d differs across partition", src, i)
 			}
-		}
-	}
-}
-
-// TestSimulateRangeBeyondEvents: the stream extends deterministically
-// past cfg.Events.
-func TestSimulateRangeBeyondEvents(t *testing.T) {
-	cat := testCatalog(t, logs.Yelp, 30)
-	cfg := SimConfig{Events: 100, Cookies: 50, Seed: 6}
-	run := func() []logs.Click {
-		var out []logs.Click
-		if err := SimulateRange(cat, cfg, logs.Browse, 90, 300, func(c logs.Click) error {
-			out = append(out, c)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := run(), run()
-	if len(a) != 210 {
-		t.Fatalf("got %d clicks, want 210", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("extended stream not deterministic at %d", i)
 		}
 	}
 }

@@ -8,6 +8,25 @@ import (
 	"repro/internal/logs"
 )
 
+// simulateRefs is the serial scalar ref stream: SimulateRefBatches
+// without the batching, straight off each source's generateRefs. It is
+// the reference the batch, sharded and ordered paths are compared
+// against.
+func simulateRefs(cat *Catalog, cfg SimConfig, emit func(ClickRef)) error {
+	cfg = withSimDefaults(cfg, len(cat.Entities))
+	for _, source := range sources {
+		sp, err := newSourceSampler(cat, cfg, source)
+		if err != nil {
+			return err
+		}
+		sp.generateRefs(0, cfg.Events, func(r ClickRef) bool {
+			emit(r)
+			return true
+		})
+	}
+	return nil
+}
+
 // TestSimulateRefsMatchesSimulate: the ref stream materialized against
 // the catalog is the wire stream, click for click.
 func TestSimulateRefsMatchesSimulate(t *testing.T) {
@@ -21,7 +40,7 @@ func TestSimulateRefsMatchesSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var refs []ClickRef
-	if err := SimulateRefs(cat, cfg, func(r ClickRef) { refs = append(refs, r) }); err != nil {
+	if err := simulateRefs(cat, cfg, func(r ClickRef) { refs = append(refs, r) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(refs) != len(wire) {
@@ -49,7 +68,7 @@ func TestAggregatorAddRefMatchesAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := NewAggregator(cat)
-	if err := SimulateRefs(cat, cfg, ref.AddRef); err != nil {
+	if err := simulateRefs(cat, cfg, ref.AddRef); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(estimateBytes(t, wire), estimateBytes(t, ref)) {
@@ -71,7 +90,7 @@ func TestCookieHintDoesNotChangeEstimates(t *testing.T) {
 	hinted.SetCookieHint(cfg.Cookies)
 	tight := NewAggregator(cat)
 	tight.SetCookieHint(40) // wrong on purpose: most cookies overflow it
-	if err := SimulateRefs(cat, cfg, func(r ClickRef) {
+	if err := simulateRefs(cat, cfg, func(r ClickRef) {
 		plain.AddRef(r)
 		hinted.AddRef(r)
 		tight.AddRef(r)
@@ -125,38 +144,6 @@ func TestAggregatorAddParsePath(t *testing.T) {
 	got := a.Demand(logs.Search)[4]
 	if got.Visits != 2 || got.UniqueCookies != 2 {
 		t.Fatalf("entity 4 = %+v, want 2 visits / 2 cookies", got)
-	}
-}
-
-// TestShardedAddAndShardOf: single-producer Add on the sharded
-// aggregator equals the serial fold; routing is stable and in range
-// for entity and non-entity clicks alike.
-func TestShardedAddAndShardOf(t *testing.T) {
-	cat := testCatalog(t, logs.Yelp, 60)
-	cfg := SimConfig{Events: 4000, Cookies: 300, Seed: 5}
-	serial := NewAggregator(cat)
-	sa := NewShardedAggregator(cat, 3)
-	if err := Simulate(cat, cfg, func(c logs.Click) error {
-		serial.Add(c)
-		sa.Add(c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(estimateBytes(t, serial), estimateBytes(t, sa)) {
-		t.Fatal("sharded Add differs from serial fold")
-	}
-	for _, url := range []string{cat.Entities[0].URL, "http://nowhere.example.com/x"} {
-		c := logs.Click{Source: logs.Search, URL: url}
-		first := sa.ShardOf(c)
-		if first < 0 || first >= sa.Shards() {
-			t.Fatalf("shard %d out of range for %q", first, url)
-		}
-		for i := 0; i < 3; i++ {
-			if sa.ShardOf(c) != first {
-				t.Fatalf("routing unstable for %q", url)
-			}
-		}
 	}
 }
 
@@ -300,7 +287,7 @@ func TestSketchAddRefMatchesAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SimulateRefs(cat, cfg, refs.AddRef); err != nil {
+	if err := simulateRefs(cat, cfg, refs.AddRef); err != nil {
 		t.Fatal(err)
 	}
 	refs.AddRef(ClickRef{Entity: -1})

@@ -9,14 +9,14 @@ import (
 )
 
 // TestGenerateOrderedRefsMatchesSimulateRefs pins the parallel ordered
-// ref stream to the serial generator's canonical order, the contract
-// the segment-store writer builds on.
+// ref stream to the serial generator's canonical order (simulateRefs),
+// the contract the segment-store writer builds on.
 func TestGenerateOrderedRefsMatchesSimulateRefs(t *testing.T) {
 	cat := testCatalog(t, logs.Yelp, 80)
 	cfg := SimConfig{Events: 5000, Cookies: 700, Seed: 21}
 
 	var serial []ClickRef
-	if err := SimulateRefs(cat, cfg, func(r ClickRef) {
+	if err := simulateRefs(cat, cfg, func(r ClickRef) {
 		serial = append(serial, r)
 	}); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestFeedRefsMatchesSerial(t *testing.T) {
 	cfg := SimConfig{Events: 20000, Cookies: 4000, Seed: 17}
 
 	var refs []ClickRef
-	if err := SimulateRefs(cat, cfg, func(r ClickRef) {
+	if err := simulateRefs(cat, cfg, func(r ClickRef) {
 		refs = append(refs, r)
 	}); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestFeedRefsMatchesSerial(t *testing.T) {
 	}
 	want := estimateBytes(t, serial)
 
-	for _, shards := range []int{1, 3, 4, 8} {
+	for _, shards := range []int{1, 2, 3, 4, 8, 16} {
 		sa := NewShardedAggregator(cat, shards)
 		emit, done := sa.FeedRefs()
 		// Deliver in ragged batches, reusing one buffer to assert the

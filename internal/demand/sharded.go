@@ -22,7 +22,8 @@ import (
 // identical to folding the same stream through one Aggregator serially:
 // per-entity aggregation (visit counts and cookie-set insertion) is
 // order-independent, and routing is a pure function of the click's
-// entity.
+// entity. Clicks enter through GeneratePipeline (simulated streams),
+// Feed (wire clicks) or FeedRefs (ClickRef batches).
 type ShardedAggregator struct {
 	shards []*Aggregator
 	n      int  // catalog entity count
@@ -86,39 +87,10 @@ func (sa *ShardedAggregator) localize(r *ClickRef) (shard int) {
 	return e % s
 }
 
-// ShardOf routes a click to its owning shard. Entity clicks route by
-// their resolved entity index — the same function the ref pipeline
-// uses, so mixing Add and pipeline feeds on one aggregator keeps every
-// entity on a single shard. Non-entity clicks (which every shard would
-// drop anyway) route by an FNV-1a hash of the URL, stable but
-// arbitrary.
-func (sa *ShardedAggregator) ShardOf(c logs.Click) int {
-	if r, ok := sa.refOf(c); ok {
-		return int(r.Entity) % len(sa.shards)
-	}
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(c.URL); i++ {
-		h ^= uint64(c.URL[i])
-		h *= 0x100000001b3
-	}
-	return int(h % uint64(len(sa.shards)))
-}
-
 // refOf resolves a wire click to the internal representation with its
 // global entity index (every shard shares the catalog-wide lookups).
 func (sa *ShardedAggregator) refOf(c logs.Click) (ClickRef, bool) {
 	return sa.shards[0].refOf(c)
-}
-
-// Add folds one click into its owning shard. Safe to call concurrently
-// only for clicks that route to different shards; use Feed (or
-// GeneratePipeline) for the general concurrent case.
-func (sa *ShardedAggregator) Add(c logs.Click) {
-	r, ok := sa.refOf(c)
-	if !ok {
-		return
-	}
-	sa.shards[sa.localize(&r)].AddRef(r)
 }
 
 // Demand merges the per-shard estimates, indexed by entity ID. Shards
@@ -377,32 +349,4 @@ func (sa *ShardedAggregator) FeedRefs() (emit func(batch []ClickRef), done func(
 		wait()
 	}
 	return emit, done
-}
-
-// SimulateParallel simulates the click streams for cat (identically to
-// Simulate) and aggregates them across `shards` concurrent shard
-// workers (<= 0: GOMAXPROCS). Generation stays a serial producer here —
-// GeneratePipeline parallelizes that stage too — but it produces
-// ClickRefs straight into the router, never materializing a URL. For a
-// fixed seed the result is identical to serial Simulate +
-// Aggregator.Add — and to GeneratePipeline — whatever the shard count.
-func SimulateParallel(cat *Catalog, cfg SimConfig, shards int) (*ShardedAggregator, error) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	sa := NewShardedAggregator(cat, shards)
-	cfg = withSimDefaults(cfg, len(cat.Entities))
-	sa.SetCookieHint(cfg.Cookies)
-	chans, free, wait := sa.startWorkers(8)
-	r := sa.newRouter(chans, free)
-	err := SimulateRefs(cat, cfg, r.emit)
-	r.flush()
-	for i := range chans {
-		close(chans[i])
-	}
-	wait()
-	if err != nil {
-		return nil, err
-	}
-	return sa, nil
 }

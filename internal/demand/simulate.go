@@ -135,8 +135,10 @@ func (sp *sourceSampler) generate(lo, hi int, emit func(logs.Click) error) error
 // are drawn from a finite population so unique-cookie counting
 // saturates realistically for head entities. The emitted sequence is
 // the canonical stream order: all search events by index, then all
-// browse events; SimulateRange reproduces any sub-range of it and
-// GeneratePipeline aggregates it fully in parallel.
+// browse events. Simulate is the wire reference the golden stream hash
+// pins; SimulateRefBatches emits the same stream as ClickRefs,
+// GenerateOrdered and GenerateOrderedRefs reproduce it from parallel
+// workers, and GeneratePipeline aggregates it fully in parallel.
 func Simulate(cat *Catalog, cfg SimConfig, emit func(logs.Click) error) error {
 	cfg = withSimDefaults(cfg, len(cat.Entities))
 	for _, source := range sources {
@@ -151,29 +153,11 @@ func Simulate(cat *Catalog, cfg SimConfig, emit func(logs.Click) error) error {
 	return nil
 }
 
-// SimulateRefs is Simulate in the internal representation: the same
-// streams in the same canonical order, emitted as ClickRefs with no
-// URL strings built or parsed anywhere. This is the serial fold's fast
-// path — pair it with Aggregator.AddRef and the aggregator indexes the
-// catalog directly instead of parsing its own generator's output.
-func SimulateRefs(cat *Catalog, cfg SimConfig, emit func(ClickRef)) error {
-	cfg = withSimDefaults(cfg, len(cat.Entities))
-	for _, source := range sources {
-		sp, err := newSourceSampler(cat, cfg, source)
-		if err != nil {
-			return err
-		}
-		sp.generateRefs(0, cfg.Events, func(r ClickRef) bool {
-			emit(r)
-			return true
-		})
-	}
-	return nil
-}
-
-// SimulateRefBatches is SimulateRefs delivered in reused batches of up
-// to size refs (<= 0: DefaultFoldBatch) — the serial face of the
-// columnar fold: pair it with Aggregator.FoldBatch and the whole
+// SimulateRefBatches is Simulate in the internal representation: the
+// same streams in the same canonical order, emitted as ClickRefs with
+// no URL strings built or parsed anywhere, delivered in reused batches
+// of up to size refs (<= 0: DefaultFoldBatch). It is the serial face of
+// the columnar fold: pair it with Aggregator.FoldBatch and the whole
 // serial path runs generation and cache-blocked aggregation over one
 // recycled buffer. Batches may span the search/browse boundary (the
 // fold partitions by source anyway); fold must not retain the slice,
@@ -204,26 +188,6 @@ func SimulateRefBatches(cat *Catalog, cfg SimConfig, size int, fold func([]Click
 	return nil
 }
 
-// SimulateRange generates events [lo, hi) of one source's click stream:
-// exactly the clicks Simulate emits at those indices for the same
-// (cat, cfg), whatever the surrounding partitioning. hi may exceed
-// cfg.Events — the stream extends deterministically — so callers can
-// also use it to sample beyond the simulated year.
-func SimulateRange(cat *Catalog, cfg SimConfig, source logs.Source, lo, hi int, emit func(logs.Click) error) error {
-	if !source.Valid() {
-		return fmt.Errorf("demand: unknown source %q", source)
-	}
-	if lo < 0 || hi < lo {
-		return fmt.Errorf("demand: bad event range [%d, %d)", lo, hi)
-	}
-	cfg = withSimDefaults(cfg, len(cat.Entities))
-	sp, err := newSourceSampler(cat, cfg, source)
-	if err != nil {
-		return err
-	}
-	return sp.generate(lo, hi, emit)
-}
-
 // Estimate is the aggregated demand of one entity from one source.
 type Estimate struct {
 	// Visits is the raw click count.
@@ -235,8 +199,8 @@ type Estimate struct {
 }
 
 // Aggregator folds a click stream into per-entity demand estimates for
-// one catalog. Exact distinct counting by default; see Sketch for the
-// HyperLogLog alternative. AddRef is the zero-string scalar fast path
+// one catalog, counting distinct cookies exactly. AddRef is the
+// zero-string scalar fast path
 // and FoldBatch (columnar.go) its cache-blocked batch sibling; Add
 // accepts wire clicks (log replay), resolving canonical catalog URLs
 // with one interned-string lookup and everything else through the
@@ -336,9 +300,8 @@ func (a *Aggregator) BytesMoved() uint64 { return a.moved }
 // hint: estimates are exact with or without it, cookies outside the
 // bound (replayed external logs) still count correctly, and changing
 // the hint mid-fold is safe — each converted set is bounded by its own
-// bitmap, never by the current hint. The simulation entry points that
-// build their own aggregator (GeneratePipeline, SimulateParallel) set
-// it automatically.
+// bitmap, never by the current hint. GeneratePipeline, which builds
+// its own aggregator, sets it automatically.
 func (a *Aggregator) SetCookieHint(max int) {
 	if max > 0 {
 		a.hint = uint64(max)

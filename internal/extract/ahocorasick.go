@@ -107,12 +107,6 @@ func (ac *AhoCorasick) buildFailLinks() {
 	}
 }
 
-// Match is one automaton hit.
-type Match struct {
-	Value int // payload of the matched pattern
-	End   int // byte offset just past the match
-}
-
 // Feed advances the matcher state over chunk, whose first byte sits at
 // absolute offset base in the logical stream, invoking emit(pi, end)
 // for every pattern hit (end is the absolute offset just past the
@@ -140,40 +134,6 @@ func (ac *AhoCorasick) Value(pi int32) int { return ac.vals[pi] }
 
 // PatternLen returns the byte length of pattern pi.
 func (ac *AhoCorasick) PatternLen(pi int32) int { return len(ac.pats[pi]) }
-
-// FindAll returns every pattern occurrence in text.
-func (ac *AhoCorasick) FindAll(text string) []Match {
-	var out []Match
-	s := int32(0)
-	stride := int32(ac.stride)
-	for i := 0; i < len(text); i++ {
-		s = ac.next[s*stride+int32(ac.class[text[i]])]
-		for _, pi := range ac.out[s] {
-			out = append(out, Match{Value: ac.vals[pi], End: i + 1})
-		}
-	}
-	return out
-}
-
-// FindValues returns the distinct payload values occurring in text, in
-// first-appearance order.
-func (ac *AhoCorasick) FindValues(text string) []int {
-	var out []int
-	seen := make(map[int]struct{})
-	s := int32(0)
-	stride := int32(ac.stride)
-	for i := 0; i < len(text); i++ {
-		s = ac.next[s*stride+int32(ac.class[text[i]])]
-		for _, pi := range ac.out[s] {
-			v := ac.vals[pi]
-			if _, dup := seen[v]; !dup {
-				seen[v] = struct{}{}
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
 
 // PhoneAutomaton builds an Aho–Corasick automaton over the four common
 // renderings of every phone in the database, with entity IDs as payloads.

@@ -12,11 +12,6 @@ import (
 var isbnCandidateRe = regexp.MustCompile(
 	`\b(?:97[89][- ]?)?[0-9](?:[- ]?[0-9]){8}[- ]?[0-9Xx]\b`)
 
-// isbnWindow is how many bytes around a candidate are searched for the
-// literal string "ISBN" (§3.2: "along with the string 'ISBN' in a small
-// window near the match").
-const isbnWindow = 48
-
 // ISBNs returns the distinct checksum-valid ISBNs found in text that
 // have the string "ISBN" (case-insensitive) within isbnWindow bytes of
 // the match. Returned values are bare (separator-free) and keep their

@@ -1,12 +1,21 @@
+// Package extract implements the identifying-attribute extractors of
+// §3.2: US phone numbers, ISBNs with the string "ISBN" in a small window
+// near the match, homepage extraction from anchor hrefs, and review-page
+// detection via the Naïve-Bayes classifier. Extracted values are matched
+// against the entity database to establish entity presence on a page.
+//
+// Session is the one production path: a streaming, allocation-free
+// pipeline that matches the database's rendered attribute forms with an
+// Aho–Corasick automaton over the page text. A retained-DOM,
+// regular-expression extractor (Extractor.Page) lives in the package's
+// tests as the oracle the Session must agree with.
 package extract
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/classify"
 	"repro/internal/entity"
-	"repro/internal/htmlx"
 )
 
 // Mention records that a page mentions an entity via one attribute.
@@ -15,40 +24,24 @@ type Mention struct {
 	Attr     entity.Attr
 }
 
-// Extractor extracts entity mentions from pages for one domain database.
-// The zero value is unusable; construct with New. An Extractor is safe
-// for concurrent use once built (the classifier is read-only at
-// extraction time). Page is the retained-DOM reference path; NewSession
-// returns the streaming, allocation-free path that must produce
-// identical mentions on rendered pages.
+// Extractor holds the read-only extraction state for one domain
+// database: the multi-pattern automaton over the database's rendered
+// attribute forms (phones for local businesses, ISBNs and markers for
+// books) and the review classifier. The zero value is unusable;
+// construct with New. An Extractor is safe for concurrent use; each
+// goroutine extracts through its own Session (NewSession).
 type Extractor struct {
 	db         *entity.DB
+	ac         *AhoCorasick
 	reviewClf  *classify.NaiveBayes // nil disables review detection
 	reviewAttr bool                 // whether the domain studies reviews
-
-	// The sessions' multi-pattern automaton over the database's rendered
-	// attribute forms, built lazily so the DOM-only paths never pay for it.
-	acOnce sync.Once
-	ac     *AhoCorasick
-	acErr  error
 }
 
-// automaton returns the domain's session automaton (phones for local
-// businesses, ISBNs + markers for books), building it on first use.
-func (x *Extractor) automaton() (*AhoCorasick, error) {
-	x.acOnce.Do(func() {
-		if x.db.Domain == entity.Books {
-			x.ac, x.acErr = ISBNAutomaton(x.db)
-		} else {
-			x.ac, x.acErr = PhoneAutomaton(x.db)
-		}
-	})
-	return x.ac, x.acErr
-}
-
-// New returns an Extractor for db. reviewClf may be nil when review
-// detection is not required for the domain (it is only used for
-// restaurants in the paper).
+// New returns an Extractor for db, building its automaton. reviewClf
+// may be nil when review detection is not required (it is only used
+// for restaurants in the paper; NewIndexer requires it there). New
+// errors if the database has no patterns for its domain or the
+// classifier is untrained.
 func New(db *entity.DB, reviewClf *classify.NaiveBayes) (*Extractor, error) {
 	if db == nil {
 		return nil, fmt.Errorf("extract: nil entity database")
@@ -56,72 +49,25 @@ func New(db *entity.DB, reviewClf *classify.NaiveBayes) (*Extractor, error) {
 	if reviewClf != nil && !reviewClf.Trained() {
 		return nil, fmt.Errorf("extract: review classifier is untrained")
 	}
-	hasReview := false
-	for _, a := range entity.AttrsFor(db.Domain) {
+	x := &Extractor{db: db, reviewClf: reviewClf, reviewAttr: studiesReviews(db.Domain)}
+	var err error
+	if db.Domain == entity.Books {
+		x.ac, err = ISBNAutomaton(db)
+	} else {
+		x.ac, err = PhoneAutomaton(db)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// studiesReviews reports whether the domain has the review attribute.
+func studiesReviews(d entity.Domain) bool {
+	for _, a := range entity.AttrsFor(d) {
 		if a == entity.AttrReview {
-			hasReview = true
+			return true
 		}
 	}
-	return &Extractor{db: db, reviewClf: reviewClf, reviewAttr: hasReview}, nil
-}
-
-// Page extracts all entity mentions from one HTML page. The extraction
-// mirrors §3.2:
-//
-//   - phone: regex over the rendered page text,
-//   - ISBN: digit runs with an "ISBN" marker in a window, over page text,
-//   - homepage: href values of anchor elements matched against the DB,
-//   - reviews: pages matching a restaurant phone are classified with
-//     Naïve Bayes; a positive page yields a review mention for every
-//     phone-matched entity on it.
-func (x *Extractor) Page(html []byte) []Mention {
-	doc := htmlx.Parse(html)
-	text := doc.Text()
-	var out []Mention
-
-	if x.db.Domain == entity.Books {
-		for _, id := range MatchISBNs(x.db, text) {
-			out = append(out, Mention{EntityID: id, Attr: entity.AttrISBN})
-		}
-		return out
-	}
-
-	phoneIDs := MatchPhones(x.db, text)
-	for _, id := range phoneIDs {
-		out = append(out, Mention{EntityID: id, Attr: entity.AttrPhone})
-	}
-
-	seenHome := make(map[int]struct{})
-	for _, href := range doc.Anchors() {
-		if id, ok := x.db.LookupHomepage(href); ok {
-			if _, dup := seenHome[id]; !dup {
-				seenHome[id] = struct{}{}
-				out = append(out, Mention{EntityID: id, Attr: entity.AttrHomepage})
-			}
-		}
-	}
-
-	if x.reviewAttr && x.reviewClf != nil && len(phoneIDs) > 0 {
-		if isReview, err := x.reviewClf.Classify(text); err == nil && isReview {
-			for _, id := range phoneIDs {
-				out = append(out, Mention{EntityID: id, Attr: entity.AttrReview})
-			}
-		}
-	}
-	return out
-}
-
-// TrainReviewClassifier builds a review classifier from labeled example
-// pages (HTML in, label = page is a review page). It is the materialized
-// convenience form of Trainer, which streams pages without retaining
-// them.
-func TrainReviewClassifier(pages [][]byte, labels []bool) (*classify.NaiveBayes, error) {
-	if len(pages) != len(labels) {
-		return nil, fmt.Errorf("extract: %d pages vs %d labels", len(pages), len(labels))
-	}
-	tr := NewTrainer(1)
-	for i, p := range pages {
-		tr.Add(p, labels[i])
-	}
-	return tr.Classifier()
+	return false
 }

@@ -14,8 +14,9 @@ import (
 // tokenize → match → classify over a page without building the DOM, the
 // joined text string, or per-call token slices. All scratch state is
 // reused across pages, so Page performs zero allocations at steady
-// state. Output is mention-identical to Extractor.Page (the retained-DOM
-// reference path) on rendered pages — pinned by the property tests.
+// state. Output is mention-identical on rendered pages to the
+// retained-DOM, regular-expression extractor kept in the package's tests
+// as the oracle (Extractor.Page there) — pinned by the property tests.
 //
 // A Session is not safe for concurrent use; create one per goroutine
 // with Extractor.NewSession (sessions share the extractor's read-only
@@ -58,6 +59,11 @@ type Session struct {
 	emitF     func(pi int32, end int)
 }
 
+// isbnWindow is how many bytes around an ISBN match are searched for
+// the literal string "ISBN" (§3.2: "along with the string 'ISBN' in a
+// small window near the match").
+const isbnWindow = 48
+
 // isbnCand is one automaton ISBN hit: [lo, hi) in collapsed-text
 // coordinates plus the owning entity.
 type isbnCand struct {
@@ -65,21 +71,18 @@ type isbnCand struct {
 	id     int
 }
 
-// NewSession returns a streaming extraction session. It builds the
-// extractor's shared automaton on first use and errors if the database
-// has no patterns for its domain or the classifier is unusable.
+// NewSession returns a streaming extraction session over the
+// extractor's shared automaton. It errors if the classifier is
+// unusable.
 func (x *Extractor) NewSession() (*Session, error) {
-	ac, err := x.automaton()
-	if err != nil {
-		return nil, err
-	}
 	s := &Session{
 		x:        x,
-		ac:       ac,
+		ac:       x.ac,
 		seenKey:  make([]uint64, x.db.N()),
 		seenHome: make([]uint64, x.db.N()),
 	}
 	if x.reviewAttr && x.reviewClf != nil {
+		var err error
 		s.scorer, err = x.reviewClf.NewScorer()
 		if err != nil {
 			return nil, err
@@ -93,8 +96,8 @@ func (x *Extractor) NewSession() (*Session, error) {
 
 // Page extracts all entity mentions from one HTML page via the fused
 // streaming pipeline. The returned slice is reused by the next Page
-// call; copy it if it must outlive the call. Semantics mirror
-// Extractor.Page exactly: phones (or ISBNs with a nearby "ISBN" marker)
+// call; copy it if it must outlive the call. Semantics follow §3.2:
+// phones (or ISBNs with a nearby "ISBN" marker)
 // matched against the database over rendered page text, homepages from
 // anchor hrefs, and — when a classifier is present — a review mention
 // per phone-matched entity on positively classified pages.
@@ -206,7 +209,7 @@ func (s *Session) onAnchor(href []byte) {
 // markerNear reports whether any "ISBN" marker starting at position m
 // satisfies the §3.2 window rule for candidate c: m >= lo-isbnWindow and
 // the marker's end within isbnWindow past the candidate (the same
-// acceptance region hasISBNMarker checks on the joined string).
+// acceptance region the regex oracle checks on the joined string).
 func (s *Session) markerNear(c isbnCand) bool {
 	for _, m := range s.markers {
 		if m >= c.lo-isbnWindow && m+4 <= c.hi+isbnWindow {

@@ -5,8 +5,10 @@ package extract_test
 // test would cycle).
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/classify"
 	"repro/internal/entity"
 	"repro/internal/extract"
 	"repro/internal/synth"
@@ -313,4 +315,136 @@ func TestNewSessionNoPatterns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestIndexerMatchesDirect: sessions feeding an Indexer rebuild the
+// model's indexes exactly — sites, entity sets, review page counts and
+// the coverage denominators of index.SetUniverses.
+func TestIndexerMatchesDirect(t *testing.T) {
+	for _, d := range []entity.Domain{entity.Books, entity.Banks, entity.Restaurants} {
+		w := renderedWeb(t, d, 71)
+		var nb *classify.NaiveBayes
+		if d == entity.Restaurants {
+			var err error
+			if nb, err = webClassifier(t, w).Classifier(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix, err := extract.NewIndexer(w.DB, nb, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := ix.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si := range w.Sites {
+			host := w.Sites[si].Host
+			w.RenderPages(&w.Sites[si], func(_ string, html []byte) { ix.Add(host, sess.Page(html)) })
+		}
+		got, err := ix.Indexes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := w.DirectIndexes(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Indexer indexes differ from DirectIndexes", d)
+		}
+	}
+}
+
+// TestNewIndexerValidation: a review domain needs a classifier, and
+// the Extractor's own checks still apply.
+func TestNewIndexerValidation(t *testing.T) {
+	db, err := entity.Generate(entity.Config{Domain: entity.Restaurants, N: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := extract.NewIndexer(db, nil, 1); err == nil {
+		t.Error("restaurants without a review classifier should fail")
+	}
+	if _, err := extract.NewIndexer(nil, nil, 1); err == nil {
+		t.Error("nil db should fail")
+	}
+	books, err := entity.Generate(entity.Config{Domain: entity.Books, N: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := extract.NewIndexer(books, nil, 1); err != nil {
+		t.Errorf("books need no classifier: %v", err)
+	}
+}
+
+// BenchmarkAblationExtract is the ablation behind the streaming
+// extraction path: every rendered page of a banks web through one
+// Session (tokenize, automaton match, no DOM) versus the retained-DOM
+// regex oracle (parse, joined text, regex match, lookup).
+func BenchmarkAblationExtract(b *testing.B) {
+	w, err := synth.Generate(synth.Config{
+		Domain: entity.Banks, Entities: 300, DirectoryHosts: 450, Seed: 3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pages [][]byte
+	for si := range w.Sites {
+		for _, p := range w.RenderSite(&w.Sites[si]) {
+			pages = append(pages, p.HTML)
+		}
+	}
+	x, err := extract.New(w.DB, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := x.NewSession()
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(b *testing.B, page func([]byte) []extract.Mention) {
+		for i := 0; i < b.N; i++ {
+			n := 0
+			for _, p := range pages {
+				n += len(page(p))
+			}
+			if n == 0 {
+				b.Fatal("no mentions")
+			}
+		}
+	}
+	b.Run("session", func(b *testing.B) { run(b, sess.Page) })
+	b.Run("dom", func(b *testing.B) { run(b, x.Page) })
+}
+
+// BenchmarkAblationMatch: page-text phone matching via the regex
+// oracle (extract-then-lookup) versus one automaton pass over all
+// database phones.
+func BenchmarkAblationMatch(b *testing.B) {
+	w, err := synth.Generate(synth.Config{
+		Domain: entity.Hotels, Entities: 2000, DirectoryHosts: 100, Seed: 9,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var texts []string
+	for si := range w.Sites[:20] {
+		for _, p := range w.RenderSite(&w.Sites[si]) {
+			texts = append(texts, string(p.HTML))
+		}
+	}
+	ac, err := extract.PhoneAutomaton(w.DB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(b *testing.B, match func(string) []int) {
+		for i := 0; i < b.N; i++ {
+			total := 0
+			for _, t := range texts {
+				total += len(match(t))
+			}
+			if total == 0 {
+				b.Fatal("no matches")
+			}
+		}
+	}
+	b.Run("regex", func(b *testing.B) { run(b, func(t string) []int { return extract.MatchPhones(w.DB, t) }) })
+	b.Run("ahocorasick", func(b *testing.B) { run(b, ac.FindValues) })
 }

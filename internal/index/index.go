@@ -174,6 +174,28 @@ func (idx *Index) DistinctEntities() int {
 	return len(seen)
 }
 
+// SetUniverses sets each index's coverage denominator (NumEntities) by
+// the study's one rule. Phones and ISBNs span the whole database.
+// Homepages span the entities that have one: an entity with no website
+// can never be homepage-covered, and the paper's Fig 2 curves likewise
+// saturate at the achievable maximum. Reviews span the entities
+// reviewed anywhere, the index's own distinct entities (§3.4: coverage
+// of "restaurants covered ... with respect to reviews"); an empty review
+// index keeps the database size.
+func SetUniverses(db *entity.DB, idxs map[entity.Attr]*Index) {
+	for a, idx := range idxs {
+		idx.NumEntities = db.N()
+		switch a {
+		case entity.AttrHomepage:
+			idx.NumEntities = len(db.WithHomepage())
+		case entity.AttrReview:
+			if n := idx.DistinctEntities(); n > 0 {
+				idx.NumEntities = n
+			}
+		}
+	}
+}
+
 // AvgSitesPerEntity returns the mean number of sites mentioning an
 // entity, over entities mentioned at least once (Table 2's
 // "Avg. #sites per entity").

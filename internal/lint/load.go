@@ -148,7 +148,7 @@ func LoadRepo(dir string, patterns []string, tests bool) (*World, error) {
 		}
 		w.Packages = append(w.Packages, aug)
 		if len(lp.XTestGoFiles) > 0 {
-			x, err := w.checkSource(lp.ImportPath+"_test", lp.Name+"_test", lp.Dir, concat(lp.XTestGoFiles, nil, lp.Dir), nil)
+			x, err := w.checkXTest(lp, aug)
 			if err != nil {
 				return nil, err
 			}
@@ -200,11 +200,43 @@ func (w *World) ensurePlain(path string) (*Package, error) {
 	return pkg, nil
 }
 
+// checkXTest typechecks lp's external test package the way go test
+// builds it: the base package is its augmented variant aug, so the
+// external tests see what the in-package test files define, and every
+// module package on the way that imports the base is rechecked from
+// source against aug, so their types agree.
+func (w *World) checkXTest(lp *listPkg, aug *Package) (*Package, error) {
+	imp := &worldImporter{w: w, overrides: map[string]*types.Package{lp.ImportPath: aug.Types}, base: lp.ImportPath}
+	return w.check(lp.ImportPath+"_test", lp.Dir, concat(lp.XTestGoFiles, nil, lp.Dir), imp)
+}
+
+// importsPath reports whether module package path imports target,
+// directly or transitively.
+func (w *World) importsPath(path, target string) bool {
+	lp := w.listed[path]
+	if lp == nil || lp.Module == nil {
+		return false
+	}
+	for _, imp := range lp.Imports {
+		if imp == target || w.importsPath(imp, target) {
+			return true
+		}
+	}
+	return false
+}
+
 // checkSource parses and typechecks one package from source. overrides
 // maps import paths to already-typechecked packages (used by the
 // fixture loader); everything else resolves through ensurePlain or
 // export data.
 func (w *World) checkSource(path, name, dir string, filenames []string, overrides map[string]*types.Package) (*Package, error) {
+	_ = name
+	return w.check(path, dir, filenames, &worldImporter{w: w, overrides: overrides})
+}
+
+// check parses and typechecks one package from source, resolving its
+// imports through imp.
+func (w *World) check(path, dir string, filenames []string, imp *worldImporter) (*Package, error) {
 	files := make([]*ast.File, 0, len(filenames))
 	for _, fn := range filenames {
 		f, err := w.parseFile(fn)
@@ -215,14 +247,13 @@ func (w *World) checkSource(path, name, dir string, filenames []string, override
 	}
 	info := newInfo()
 	conf := types.Config{
-		Importer: &worldImporter{w: w, overrides: overrides},
+		Importer: imp,
 		Error:    func(error) {}, // collect everything; Check returns the first
 	}
 	tpkg, err := conf.Check(path, w.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
 	}
-	_ = name
 	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
 }
 
@@ -254,6 +285,10 @@ func newInfo() *types.Info {
 type worldImporter struct {
 	w         *World
 	overrides map[string]*types.Package
+	// base, when set, names the package under test: module packages
+	// that import it are rechecked from source through this importer
+	// and memoized in overrides (go test's "[base.test]" variants).
+	base string
 }
 
 func (wi *worldImporter) Import(path string) (*types.Package, error) {
@@ -268,6 +303,14 @@ func (wi *worldImporter) ImportFrom(path, srcDir string, mode types.ImportMode) 
 		return p, nil
 	}
 	if lp := wi.w.listed[path]; lp != nil && lp.Module != nil {
+		if wi.base != "" && wi.w.importsPath(path, wi.base) {
+			pkg, err := wi.w.check(path, lp.Dir, concat(lp.GoFiles, nil, lp.Dir), wi)
+			if err != nil {
+				return nil, err
+			}
+			wi.overrides[path] = pkg.Types
+			return pkg.Types, nil
+		}
 		pkg, err := wi.w.ensurePlain(path)
 		if err != nil {
 			return nil, err

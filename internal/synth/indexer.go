@@ -20,7 +20,7 @@ func (w *Web) DirectIndexes() map[entity.Attr]*index.Index {
 	attrs := entity.AttrsFor(w.Config.Domain)
 	builders := make(map[entity.Attr]*index.Builder, len(attrs))
 	for _, a := range attrs {
-		builders[a] = index.NewBuilder(w.Config.Domain, a, w.attrUniverse(a))
+		builders[a] = index.NewBuilder(w.Config.Domain, a, w.DB.N())
 	}
 	keyAttr := entity.AttrPhone
 	if w.Config.Domain == entity.Books {
@@ -51,64 +51,33 @@ func (w *Web) DirectIndexes() map[entity.Attr]*index.Index {
 	for a, b := range builders {
 		out[a] = b.Build()
 	}
-	normalizeReviewUniverse(out)
+	index.SetUniverses(w.DB, out)
 	return out
-}
-
-// attrUniverse returns the coverage denominator for one attribute:
-// phones and ISBNs span the whole database, homepages span the entities
-// that have one (an entity with no website can never be homepage-
-// covered; the paper's Fig 2 curves likewise saturate at the achievable
-// maximum). The review universe is resolved after the index is built.
-func (w *Web) attrUniverse(a entity.Attr) int {
-	if a == entity.AttrHomepage {
-		return len(w.DB.WithHomepage())
-	}
-	return w.Config.Entities
-}
-
-// normalizeReviewUniverse sets the review index denominator to the
-// number of entities with at least one review anywhere (§3.4: coverage
-// of "restaurants covered ... with respect to reviews").
-func normalizeReviewUniverse(idxs map[entity.Attr]*index.Index) {
-	if idx, ok := idxs[entity.AttrReview]; ok {
-		if n := idx.DistinctEntities(); n > 0 {
-			idx.NumEntities = n
-		}
-	}
 }
 
 // ExtractIndexes runs the full extraction pipeline over the rendered
 // web: each site's pages stream through the fused render → tokenize →
 // match → classify pipeline (synth.RenderPages into pooled buffers,
-// extract.Session over htmlx's streaming visitor), and mentions are
-// aggregated by host into per-attribute indexes. No page, DOM, or text
-// string is ever materialized, so the hot loop performs near-zero
-// allocation. Work is spread over workers goroutines (<= 0 means
-// GOMAXPROCS); the result is index-identical to DirectIndexes for every
-// worker count. reviewClf may be nil for domains without the review
-// attribute; restaurants require it.
+// extract.Session over htmlx's streaming visitor), and an
+// extract.Indexer aggregates the mentions by host into per-attribute
+// indexes. No page, DOM, or text string is ever materialized, so the
+// hot loop performs near-zero allocation. Work is spread over workers
+// goroutines (<= 0 means GOMAXPROCS); the result is index-identical to
+// DirectIndexes for every worker count. reviewClf may be nil for
+// domains without the review attribute; restaurants require it.
 func (w *Web) ExtractIndexes(reviewClf *classify.NaiveBayes, workers int) (map[entity.Attr]*index.Index, error) {
-	if w.Config.Domain == entity.Restaurants && reviewClf == nil {
-		return nil, fmt.Errorf("synth: restaurants extraction needs a review classifier")
-	}
-	x, err := extract.New(w.DB, reviewClf)
-	if err != nil {
-		return nil, fmt.Errorf("synth: build extractor: %w", err)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	ix, err := extract.NewIndexer(w.DB, reviewClf, 4*workers)
+	if err != nil {
+		return nil, fmt.Errorf("synth: %w", err)
+	}
 	sessions := make([]*extract.Session, workers)
 	for i := range sessions {
-		if sessions[i], err = x.NewSession(); err != nil {
+		if sessions[i], err = ix.NewSession(); err != nil {
 			return nil, fmt.Errorf("synth: build extraction session: %w", err)
 		}
-	}
-	attrs := entity.AttrsFor(w.Config.Domain)
-	sharded := make(map[entity.Attr]*index.ShardedBuilder, len(attrs))
-	for _, a := range attrs {
-		sharded[a] = index.NewShardedBuilder(w.Config.Domain, a, w.attrUniverse(a), 4*workers)
 	}
 
 	siteCh := make(chan *Site, workers)
@@ -118,20 +87,7 @@ func (w *Web) ExtractIndexes(reviewClf *classify.NaiveBayes, workers int) (map[e
 		go func(sess *extract.Session) {
 			defer wg.Done()
 			var cur *Site
-			emit := func(_ string, html []byte) {
-				pageReview := false
-				for _, m := range sess.Page(html) {
-					if b, ok := sharded[m.Attr]; ok {
-						b.Add(cur.Host, m.EntityID)
-					}
-					if m.Attr == entity.AttrReview {
-						pageReview = true
-					}
-				}
-				if pageReview {
-					sharded[entity.AttrReview].AddPage(cur.Host)
-				}
-			}
+			emit := func(_ string, html []byte) { ix.Add(cur.Host, sess.Page(html)) }
 			for s := range siteCh {
 				cur = s
 				w.RenderPages(s, emit)
@@ -143,15 +99,5 @@ func (w *Web) ExtractIndexes(reviewClf *classify.NaiveBayes, workers int) (map[e
 	}
 	close(siteCh)
 	wg.Wait()
-
-	out := make(map[entity.Attr]*index.Index, len(sharded))
-	for a, b := range sharded {
-		idx, err := b.Build()
-		if err != nil {
-			return nil, fmt.Errorf("synth: build %s index: %w", a, err)
-		}
-		out[a] = idx
-	}
-	normalizeReviewUniverse(out)
-	return out, nil
+	return ix.Indexes()
 }

@@ -13,8 +13,9 @@ import (
 
 func trainedReviewClassifier(t *testing.T, w *Web) *classify.NaiveBayes {
 	t.Helper()
-	pages, labels := w.TrainingPages(150, 7)
-	nb, err := extract.TrainReviewClassifier(pages, labels)
+	tr := extract.NewTrainer(1)
+	w.TrainingCorpus(150, 7, tr.Add)
+	nb, err := tr.Classifier()
 	if err != nil {
 		t.Fatal(err)
 	}

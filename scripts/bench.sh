@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # bench.sh — run the tier-1 benchmarks with -benchmem and emit a
 # machine-readable snapshot (BENCH_<PR>.json) of the performance
-# trajectory: extraction (streaming vs retained-DOM baseline), demand
-# generation (serial wire fold, serial ref fold — columnar batch and
-# scalar ablation — sharded, pipeline), the columnar segment store
-# (write / replay / pushdown-filtered replay), and the serving layer.
+# trajectory: extraction (the streaming cold build), demand generation
+# (serial wire fold, serial columnar ref fold, parallel pipeline), the
+# columnar segment store (write / replay / pushdown-filtered replay),
+# and the serving layer. Ablations against test-only oracles (DOM
+# extraction, regex matching, cookie sketches, naive set cover) live
+# next to their oracles and are not recorded.
 # cmd/benchdiff compares two snapshots and gates CI on >20% ns/op
 # regressions; the demand rows also carry the aggregator's modelled
 # bytes/click (testing.B.ReportMetric in BenchmarkGenerate), recorded
