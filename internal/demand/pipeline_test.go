@@ -61,6 +61,24 @@ func TestGeneratePipelineMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestGeneratePipelineMatchesSimulateParallel: the fully parallel
+// pipeline agrees with the serial-producer sharded fold too.
+func TestGeneratePipelineMatchesSimulateParallel(t *testing.T) {
+	cat := testCatalog(t, logs.Yelp, 150)
+	cfg := SimConfig{Events: 8000, Cookies: 1000, Seed: 31}
+	sp, err := simulateParallel(cat, cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp, err := GeneratePipeline(cat, cfg, PipelineConfig{Generators: 5, Shards: 2, Window: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(estimateBytes(t, sp), estimateBytes(t, gp)) {
+		t.Fatal("GeneratePipeline and simulateParallel disagree")
+	}
+}
+
 func TestGeneratePipelineEmptyCatalog(t *testing.T) {
 	if _, err := GeneratePipeline(&Catalog{Site: logs.Yelp}, SimConfig{}, PipelineConfig{}); err == nil {
 		t.Error("empty catalog should fail")
@@ -190,6 +208,68 @@ func TestGenerateRefsPartition(t *testing.T) {
 			if got[i] != full[i] {
 				t.Fatalf("%s: ref %d differs across partition", src, i)
 			}
+		}
+	}
+}
+
+// TestSimulateRangePartition: any partition of the event index space
+// concatenates to the unsplit wire click stream, the leapfrog contract
+// on the generate path GenerateOrdered builds on.
+func TestSimulateRangePartition(t *testing.T) {
+	cat := testCatalog(t, logs.Amazon, 80)
+	cfg := SimConfig{Events: 4000, Cookies: 500, Seed: 77}
+	for _, src := range sources {
+		var full []logs.Click
+		if err := simulateRange(cat, cfg, src, 0, cfg.Events, func(c logs.Click) error {
+			full = append(full, c)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Uneven boundaries, including an empty segment.
+		bounds := []int{0, 1, 1, 137, 1000, 2048, 3999, 4000}
+		var got []logs.Click
+		for i := 1; i < len(bounds); i++ {
+			if err := simulateRange(cat, cfg, src, bounds[i-1], bounds[i], func(c logs.Click) error {
+				got = append(got, c)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(got) != len(full) {
+			t.Fatalf("%s: concatenation has %d clicks, want %d", src, len(got), len(full))
+		}
+		for i := range full {
+			if got[i] != full[i] {
+				t.Fatalf("%s: click %d differs across partition", src, i)
+			}
+		}
+	}
+}
+
+// TestSimulateRangeBeyondEvents: the wire click stream extends
+// deterministically past cfg.Events.
+func TestSimulateRangeBeyondEvents(t *testing.T) {
+	cat := testCatalog(t, logs.Yelp, 30)
+	cfg := SimConfig{Events: 100, Cookies: 50, Seed: 6}
+	run := func() []logs.Click {
+		var out []logs.Click
+		if err := simulateRange(cat, cfg, logs.Browse, 90, 300, func(c logs.Click) error {
+			out = append(out, c)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) != 210 {
+		t.Fatalf("got %d clicks, want 210", len(a))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("extended stream not deterministic at %d", i)
 		}
 	}
 }

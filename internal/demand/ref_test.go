@@ -27,6 +27,43 @@ func simulateRefs(cat *Catalog, cfg SimConfig, emit func(ClickRef)) error {
 	return nil
 }
 
+// simulateParallel is the serial-producer sharded fold: the simulateRefs
+// stream delivered in batches through FeedRefs to `shards` concurrent
+// shard workers. GeneratePipeline parallelizes generation too; this is
+// the reference that isolates the sharding stage.
+func simulateParallel(cat *Catalog, cfg SimConfig, shards int) (*ShardedAggregator, error) {
+	sa := NewShardedAggregator(cat, shards)
+	cfg = withSimDefaults(cfg, len(cat.Entities))
+	sa.SetCookieHint(cfg.Cookies)
+	emit, done := sa.FeedRefs()
+	buf := make([]ClickRef, 0, DefaultFoldBatch)
+	err := simulateRefs(cat, cfg, func(r ClickRef) {
+		buf = append(buf, r)
+		if len(buf) == cap(buf) {
+			emit(buf)
+			buf = buf[:0]
+		}
+	})
+	emit(buf)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	return sa, nil
+}
+
+// simulateRange generates events [lo, hi) of one source's wire click
+// stream: exactly the clicks Simulate emits at those indices. hi may
+// exceed cfg.Events; the stream extends deterministically.
+func simulateRange(cat *Catalog, cfg SimConfig, source logs.Source, lo, hi int, emit func(logs.Click) error) error {
+	cfg = withSimDefaults(cfg, len(cat.Entities))
+	sp, err := newSourceSampler(cat, cfg, source)
+	if err != nil {
+		return err
+	}
+	return sp.generate(lo, hi, emit)
+}
+
 // TestSimulateRefsMatchesSimulate: the ref stream materialized against
 // the catalog is the wire stream, click for click.
 func TestSimulateRefsMatchesSimulate(t *testing.T) {
