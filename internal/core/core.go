@@ -108,6 +108,10 @@ type Study struct {
 	demands  memo.Map[logs.Site, map[logs.Source][]demand.Estimate]
 	graphs   memo.Map[graphKey, *graph.Bipartite]
 	reviewNB memo.Cell[*classify.NaiveBayes]
+	// Table 2 and Figure 9 are memoized too: cmd/webrepro's shape
+	// checks read them again after RunAll.
+	table2 memo.Cell[[]Table2Row]
+	fig9   memo.Cell[[]*Fig9Result]
 
 	builds buildCounters
 }

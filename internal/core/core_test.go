@@ -351,6 +351,38 @@ func TestTable2AndFig9(t *testing.T) {
 	}
 }
 
+// TestTable2AndFig9Memoized: a second Table2 or Fig9 call returns the
+// first call's results, not a fresh analysis (which would allocate new
+// rows and curves).
+func TestTable2AndFig9Memoized(t *testing.T) {
+	s := NewStudy(Config{Seed: 5, Entities: 200, DirectoryHosts: 300, CatalogN: 200, EventsPerSource: 1000})
+	rows, err := s.Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f9, err := s.Fig9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows2, err := s.Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f92, err := s.Fig9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &rows2[0] != &rows[0] {
+		t.Error("second Table2 call recomputed the rows")
+	}
+	if f92[0] != f9[0] || &f92[0].Curve[0] != &f9[0].Curve[0] {
+		t.Error("second Fig9 call recomputed the curves")
+	}
+	if got := s.BuildStats().Graphs; got != len(rows) {
+		t.Errorf("built %d graphs, want %d", got, len(rows))
+	}
+}
+
 func TestExtractionPipelineMatchesDirect(t *testing.T) {
 	// The headline integration test: the full render→parse→extract
 	// pipeline and the direct model path must yield identical coverage

@@ -285,7 +285,13 @@ func table2Pairs() [][2]interface{} {
 }
 
 // Table2 computes the graph metrics for every (domain, attribute) pair.
+// The rows are computed once per Study; every call returns the same
+// slice, which callers must not modify.
 func (s *Study) Table2() ([]Table2Row, error) {
+	return s.table2.Get(s.table2Rows)
+}
+
+func (s *Study) table2Rows() ([]Table2Row, error) {
 	var out []Table2Row
 	for _, p := range table2Pairs() {
 		d := p[0].(entity.Domain)
@@ -333,8 +339,14 @@ type Fig9Result struct {
 const Fig9MaxK = 10
 
 // Fig9 computes the robustness curves: panel (a) phones for the 8 local
-// domains, panel (b) homepages, panel (c) book ISBN.
+// domains, panel (b) homepages, panel (c) book ISBN. The curves are
+// computed once per Study; every call returns the same results, which
+// callers must not modify.
 func (s *Study) Fig9() ([]*Fig9Result, error) {
+	return s.fig9.Get(s.fig9Curves)
+}
+
+func (s *Study) fig9Curves() ([]*Fig9Result, error) {
 	var out []*Fig9Result
 	for _, a := range []entity.Attr{entity.AttrPhone, entity.AttrHomepage} {
 		for _, d := range entity.LocalBusinessDomains {

@@ -3,6 +3,7 @@ package entity
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/dist"
@@ -151,7 +152,7 @@ func homepageURL(name string, i int) string {
 	if len(slug) > 24 {
 		slug = slug[:24]
 	}
-	return fmt.Sprintf("http://www.%s%d.example.com/", slug, i)
+	return "http://www." + slug + strconv.Itoa(i) + ".example.com/"
 }
 
 // CanonicalURL normalizes a URL for homepage identity comparison:

@@ -1,6 +1,7 @@
 package entity
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -244,5 +245,26 @@ func TestParseDomain(t *testing.T) {
 	}
 	if _, err := ParseDomain("pizza"); err == nil {
 		t.Error("unknown domain should fail")
+	}
+}
+
+// TestHomepageURLMatchesFmt pins homepageURL byte for byte to the
+// "http://www.%s%d.example.com/" format over the slug.
+func TestHomepageURLMatchesFmt(t *testing.T) {
+	names := []string{"Golden Kitchen", "Chen's Grill", "O'Brien & Sons 24/7 Auto", "", "Fairview Golden Inn Extraordinaire Deluxe"}
+	for _, name := range names {
+		slug := strings.ToLower(strings.Map(func(r rune) rune {
+			if (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9') {
+				return r
+			}
+			return -1
+		}, name))
+		slug = slug[:min(len(slug), 24)]
+		for _, i := range []int{0, 1, 9, 10, 999999, 1000000} {
+			want := fmt.Sprintf("http://www.%s%d.example.com/", slug, i)
+			if got := homepageURL(name, i); got != want {
+				t.Errorf("homepageURL(%q, %d) = %q, want %q", name, i, got, want)
+			}
+		}
 	}
 }

@@ -10,36 +10,48 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/index"
 )
 
 // Bipartite is the entity–website graph for one (domain, attribute):
 // nodes 0..NumEntities-1 are entities, NumEntities..NumEntities+S-1 are
-// sites; an edge joins entity e and site s when s mentions e.
+// sites, site node NumEntities+r being the site of rank r (0 = largest);
+// an edge joins entity e and site s when s mentions e.
 type Bipartite struct {
 	NumEntities int
 	NumSites    int
-	// adj is the adjacency list over all nodes (entities then sites).
-	// Entities with no edges have empty lists and are excluded from the
+	// adj is the adjacency over all nodes (entities then sites).
+	// Entities with no edges have empty rows and are excluded from the
 	// analysis denominators.
-	adj [][]int32
-	// siteOrder maps rank (0 = largest) to site node offsets, for
-	// robustness removal.
-	siteOrder []int
-	hosts     []string
+	adj   csr
+	hosts []string
 }
+
+// csr is a compressed-sparse-row adjacency: node v's neighbours are
+// nbr[off[v]:off[v+1]].
+type csr struct {
+	off []int32
+	nbr []int32
+}
+
+// row returns the neighbours of v.
+func (a csr) row(v int) []int32 { return a.nbr[a.off[v]:a.off[v+1]] }
 
 // FromIndex builds the bipartite graph of an index. Site ordering
 // follows the index's size-descending order. The entity node space is
 // sized by the largest entity ID present (the index's NumEntities is a
 // coverage denominator and may be smaller, e.g. for the homepage
-// attribute whose universe is entities-with-homepage).
+// attribute whose universe is entities-with-homepage). The adjacency is
+// built in two passes over the postings: one counts degrees, one fills
+// rows.
 func FromIndex(idx *index.Index) (*Bipartite, error) {
 	if idx.NumEntities <= 0 {
 		return nil, fmt.Errorf("graph: index has no entity universe")
 	}
 	numEntities := idx.NumEntities
+	postings := idx.TotalPostings()
 	for si := range idx.Sites {
 		for _, e := range idx.Sites[si].Entities {
 			if e < 0 {
@@ -50,24 +62,43 @@ func FromIndex(idx *index.Index) (*Bipartite, error) {
 			}
 		}
 	}
+	n := numEntities + len(idx.Sites)
+	if n >= math.MaxInt32 || 2*postings >= math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d nodes and %d edges overflow int32 ids", n, postings)
+	}
 	g := &Bipartite{
 		NumEntities: numEntities,
 		NumSites:    len(idx.Sites),
-		adj:         make([][]int32, numEntities+len(idx.Sites)),
-		siteOrder:   make([]int, len(idx.Sites)),
+		adj:         csr{off: make([]int32, n+1), nbr: make([]int32, 2*postings)},
 		hosts:       make([]string, len(idx.Sites)),
 	}
+	// off[v+1] counts v's degree; the prefix sum turns off[v] into the
+	// start of v's row.
+	off := g.adj.off
 	for si := range idx.Sites {
-		node := numEntities + si
-		g.siteOrder[si] = node
-		g.hosts[si] = idx.Sites[si].Host
-		ents := idx.Sites[si].Entities
-		g.adj[node] = make([]int32, len(ents))
-		for j, e := range ents {
-			g.adj[node][j] = int32(e)
-			g.adj[e] = append(g.adj[e], int32(node))
+		off[numEntities+si+1] = int32(len(idx.Sites[si].Entities))
+		for _, e := range idx.Sites[si].Entities {
+			off[e+1]++
 		}
 	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	// Fill by site rank, so each entity's row lists its sites in rank
+	// order. off[v] serves as v's write cursor and ends at the start of
+	// v+1's row; shifting it back restores the starts.
+	for si := range idx.Sites {
+		node := int32(numEntities + si)
+		g.hosts[si] = idx.Sites[si].Host
+		for _, e := range idx.Sites[si].Entities {
+			g.adj.nbr[off[node]] = int32(e)
+			off[node]++
+			g.adj.nbr[off[e]] = node
+			off[e]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
 	return g, nil
 }
 
@@ -75,17 +106,17 @@ func FromIndex(idx *index.Index) (*Bipartite, error) {
 func (g *Bipartite) Host(r int) string { return g.hosts[r] }
 
 // NumNodes returns the total node count (entities + sites).
-func (g *Bipartite) NumNodes() int { return len(g.adj) }
+func (g *Bipartite) NumNodes() int { return len(g.adj.off) - 1 }
 
 // Degree returns the degree of node v.
-func (g *Bipartite) Degree(v int) int { return len(g.adj[v]) }
+func (g *Bipartite) Degree(v int) int { return int(g.adj.off[v+1] - g.adj.off[v]) }
 
 // AvgSitesPerEntity returns the mean entity degree over entities with
 // at least one edge (Table 2 column 1).
 func (g *Bipartite) AvgSitesPerEntity() float64 {
 	total, n := 0, 0
 	for e := 0; e < g.NumEntities; e++ {
-		if d := len(g.adj[e]); d > 0 {
+		if d := g.Degree(e); d > 0 {
 			total += d
 			n++
 		}
@@ -128,33 +159,34 @@ func (c Components) InLargest(v int) bool {
 // ranks removed (nil removes nothing). Removal of rank r removes the
 // r-th largest site and all its edges.
 func (g *Bipartite) ComponentsExcluding(removedRanks []int) Components {
-	removed := make([]bool, len(g.adj))
+	n := g.NumNodes()
+	removed := make([]bool, n)
 	for _, r := range removedRanks {
-		if r >= 0 && r < len(g.siteOrder) {
-			removed[g.siteOrder[r]] = true
+		if r >= 0 && r < g.NumSites {
+			removed[g.NumEntities+r] = true
 		}
 	}
-	uf := newUnionFind(len(g.adj))
-	for v := range g.adj {
+	uf := newUnionFind(n)
+	for v := range n {
 		if removed[v] {
 			continue
 		}
-		for _, u := range g.adj[v] {
+		for _, u := range g.adj.row(v) {
 			if !removed[u] {
 				uf.union(v, int(u))
 			}
 		}
 	}
 	// Tally entities per root.
-	perRoot := make([]int32, len(g.adj))
+	perRoot := make([]int32, n)
 	total := 0
-	roots := make([]int32, len(g.adj))
-	for v := range g.adj {
+	roots := make([]int32, n)
+	for v := range n {
 		roots[v] = int32(uf.find(v))
 	}
 	for e := 0; e < g.NumEntities; e++ {
 		connected := false
-		for _, s := range g.adj[e] {
+		for _, s := range g.adj.row(e) {
 			if !removed[s] {
 				connected = true
 				break
@@ -206,16 +238,16 @@ func (g *Bipartite) RobustnessCurve(maxK int) []float64 {
 	out := make([]float64, maxK+1)
 	top := min(maxK, g.NumSites)
 	// live marks the entities connected to a site that is not removed.
-	uf := newUnionFind(len(g.adj))
+	uf := newUnionFind(g.NumNodes())
 	live := make([]bool, g.NumEntities)
-	for _, s := range g.siteOrder[top:] {
-		for _, e := range g.adj[s] {
+	for s := g.NumEntities + top; s < g.NumNodes(); s++ {
+		for _, e := range g.adj.row(s) {
 			uf.union(s, int(e))
 			live[e] = true
 		}
 	}
 	// entities[root] counts the live entities of root's component.
-	entities := make([]int32, len(g.adj))
+	entities := make([]int32, g.NumNodes())
 	total, largest := 0, 0
 	for e, ok := range live {
 		if ok {
@@ -233,8 +265,8 @@ func (g *Bipartite) RobustnessCurve(maxK int) []float64 {
 		out[k] = frac()
 	}
 	for k := top - 1; k >= 0; k-- {
-		s := g.siteOrder[k]
-		for _, e := range g.adj[s] {
+		s := g.NumEntities + k
+		for _, e := range g.adj.row(s) {
 			if !live[e] {
 				// Only a live site joins an entity to anything, so a
 				// newly connected entity is still its own singleton.

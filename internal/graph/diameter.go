@@ -16,10 +16,10 @@ package graph
 // oracle lives in the tests.
 
 // bfs runs a breadth-first traversal from src, writing distances into
-// dist (which must be len(adj) and pre-filled with -1). It returns the
+// dist (one entry per node, pre-filled with -1). It returns the
 // eccentricity of src within its component and the visited nodes in
 // BFS order, so the last visited node is one farthest from src.
-func bfs(adj [][]int32, src int, dist []int32, queue []int32) (ecc int, visited []int32) {
+func bfs(adj csr, src int, dist []int32, queue []int32) (ecc int, visited []int32) {
 	dist[src] = 0
 	queue = queue[:0]
 	queue = append(queue, int32(src))
@@ -31,7 +31,7 @@ func bfs(adj [][]int32, src int, dist []int32, queue []int32) (ecc int, visited 
 		if int(dv) > ecc {
 			ecc = int(dv)
 		}
-		for _, u := range adj[v] {
+		for _, u := range adj.row(int(v)) {
 			if dist[u] < 0 {
 				dist[u] = dv + 1
 				queue = append(queue, u)
@@ -57,8 +57,8 @@ func (g *Bipartite) DiameterLargest(c Components) int {
 // has no edges.
 func (g *Bipartite) maxDegreeNode(c Components) int {
 	best := -1
-	for v := range g.adj {
-		if len(g.adj[v]) > 0 && c.InLargest(v) && (best < 0 || len(g.adj[v]) > len(g.adj[best])) {
+	for v := range g.NumNodes() {
+		if g.Degree(v) > 0 && c.InLargest(v) && (best < 0 || g.Degree(v) > g.Degree(best)) {
 			best = v
 		}
 	}
@@ -68,13 +68,14 @@ func (g *Bipartite) maxDegreeNode(c Components) int {
 // sweeper holds the BFS scratch of one diameter computation. dist is
 // all -1 between sweeps: each caller resets the nodes a sweep visited.
 type sweeper struct {
-	adj   [][]int32
+	adj   csr
 	dist  []int32
 	queue []int32
 }
 
-func newSweeper(adj [][]int32) *sweeper {
-	s := &sweeper{adj: adj, dist: make([]int32, len(adj)), queue: make([]int32, 0, len(adj))}
+func newSweeper(adj csr) *sweeper {
+	n := len(adj.off) - 1
+	s := &sweeper{adj: adj, dist: make([]int32, n), queue: make([]int32, 0, n)}
 	for i := range s.dist {
 		s.dist[i] = -1
 	}
@@ -96,7 +97,7 @@ func (s *sweeper) reset(visited []int32) {
 // level closer. The last sweep's distances must still be in dist.
 func (s *sweeper) walkBack(v, d int) int {
 	for int(s.dist[v]) > d {
-		for _, u := range s.adj[v] {
+		for _, u := range s.adj.row(v) {
 			if s.dist[u] == s.dist[v]-1 {
 				v = int(u)
 				break
@@ -167,7 +168,7 @@ func (g *Bipartite) ifub(r1 int) int {
 // Eccentricity returns the BFS eccentricity of node v within its
 // component, or -1 if v has no edges.
 func (g *Bipartite) Eccentricity(v int) int {
-	if v < 0 || v >= len(g.adj) || len(g.adj[v]) == 0 {
+	if v < 0 || v >= g.NumNodes() || g.Degree(v) == 0 {
 		return -1
 	}
 	ecc, _ := newSweeper(g.adj).sweep(v)

@@ -21,8 +21,8 @@ import (
 func diameterBrute(g *Bipartite, c Components) int {
 	s := newSweeper(g.adj)
 	max := 0
-	for v := range g.adj {
-		if len(g.adj[v]) == 0 || !c.InLargest(v) {
+	for v := range g.NumNodes() {
+		if g.Degree(v) == 0 || !c.InLargest(v) {
 			continue
 		}
 		ecc, touched := s.sweep(v)
@@ -43,8 +43,8 @@ func diameterParallel(g *Bipartite, c Components, workers int) int {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var sources []int32
-	for v := range g.adj {
-		if len(g.adj[v]) > 0 && c.InLargest(v) {
+	for v := range g.NumNodes() {
+		if g.Degree(v) > 0 && c.InLargest(v) {
 			sources = append(sources, int32(v))
 		}
 	}

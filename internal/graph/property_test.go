@@ -101,7 +101,7 @@ func TestPropertyDiameterAtLeastAnyEccentricity(t *testing.T) {
 		c := g.AllComponents()
 		d := g.DiameterLargest(c)
 		v := int(probe) % g.NumNodes()
-		if len(g.adj[v]) == 0 || !c.InLargest(v) {
+		if g.Degree(v) == 0 || !c.InLargest(v) {
 			return true
 		}
 		return g.Eccentricity(v) <= d

@@ -9,6 +9,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,87 +43,221 @@ type Index struct {
 	Sites []Site
 }
 
-// Builder accumulates page-level mentions into an Index.
-// It is not safe for concurrent use; shard by host and merge, or guard
-// externally (internal/index.ShardedBuilder does this for the pipeline).
+// Builder accumulates page-level mentions into an Index. Hosts are
+// interned to dense ids and every mention is appended to flat
+// (host id, entity) columns; Build groups the columns by host with one
+// counting sort. It is not safe for concurrent use; shard by host and
+// merge, or guard externally (internal/index.ShardedBuilder does this
+// for the pipeline).
 type Builder struct {
-	domain   entity.Domain
-	attr     entity.Attr
-	num      int
-	entities map[string]map[int]struct{}
-	pages    map[string]int
+	domain entity.Domain
+	attr   entity.Attr
+	num    int
+
+	// hosts[h] is the name of host id h and pages[h] its attribute-page
+	// count. ids inverts hosts; a NewHostBuilder fills it only when a
+	// mention arrives by name.
+	hosts []string
+	pages []int
+	ids   map[string]int32
+	// last and lastID are the most recently interned host (lastID < 0
+	// for none), so a run of mentions from one host skips the map.
+	last   string
+	lastID int32
+
+	// The i-th mention is entity entCol[i] on host hostCol[i].
+	hostCol []int32
+	entCol  []int
 }
 
 // NewBuilder returns a Builder for one (domain, attribute) with the
 // given entity-database size.
 func NewBuilder(domain entity.Domain, attr entity.Attr, numEntities int) *Builder {
-	return &Builder{
-		domain:   domain,
-		attr:     attr,
-		num:      numEntities,
-		entities: make(map[string]map[int]struct{}),
-		pages:    make(map[string]int),
+	return &Builder{domain: domain, attr: attr, num: numEntities, lastID: -1}
+}
+
+// NewHostBuilder returns a Builder whose host ids are fixed up front:
+// id h names hosts[h]. The hosts must be distinct. AddAt and AddPagesAt
+// then record mentions by id with no map lookup; Add and AddPage still
+// work by name. Hosts that end up with no mention and no page are left
+// out of the index, as they are for a NewBuilder.
+func NewHostBuilder(domain entity.Domain, attr entity.Attr, numEntities int, hosts []string) *Builder {
+	b := NewBuilder(domain, attr, numEntities)
+	// Clipped, so a host added by name never writes into a hosts array
+	// that other builders share.
+	b.hosts = slices.Clip(hosts)
+	b.pages = make([]int, len(hosts))
+	return b
+}
+
+// intern returns host's dense id, assigning the next one on first sight.
+func (b *Builder) intern(host string) int32 {
+	if b.lastID >= 0 && host == b.last {
+		return b.lastID
 	}
+	if b.ids == nil {
+		b.ids = make(map[string]int32, len(b.hosts))
+		for h, name := range b.hosts {
+			b.ids[name] = int32(h)
+		}
+	}
+	h, ok := b.ids[host]
+	if !ok {
+		h = int32(len(b.hosts))
+		b.ids[host] = h
+		b.hosts = append(b.hosts, host)
+		b.pages = append(b.pages, 0)
+	}
+	b.last, b.lastID = host, h
+	return h
 }
 
 // Add records that host mentions entity id via the builder's attribute.
 func (b *Builder) Add(host string, id int) {
-	set, ok := b.entities[host]
-	if !ok {
-		set = make(map[int]struct{})
-		b.entities[host] = set
-	}
-	set[id] = struct{}{}
+	b.hostCol = append(b.hostCol, b.intern(host))
+	b.entCol = append(b.entCol, id)
 }
 
 // AddPage increments host's attribute-page counter.
-func (b *Builder) AddPage(host string) { b.pages[host]++ }
+func (b *Builder) AddPage(host string) { b.pages[b.intern(host)]++ }
+
+// Grow makes room for n more mentions without reallocating.
+func (b *Builder) Grow(n int) {
+	b.hostCol = slices.Grow(b.hostCol, n)
+	b.entCol = slices.Grow(b.entCol, n)
+}
+
+// AddAt records that host id h of a NewHostBuilder mentions entity id.
+func (b *Builder) AddAt(h, id int) {
+	b.hostCol = append(b.hostCol, int32(h))
+	b.entCol = append(b.entCol, id)
+}
+
+// AddPagesAt adds n to the attribute-page counter of host id h of a
+// NewHostBuilder.
+func (b *Builder) AddPagesAt(h, n int) { b.pages[h] += n }
 
 // Merge folds other into b. Other must target the same attribute.
 func (b *Builder) Merge(other *Builder) error {
 	if other.domain != b.domain || other.attr != b.attr {
 		return fmt.Errorf("index: merging %s/%s into %s/%s", other.domain, other.attr, b.domain, b.attr)
 	}
-	for host, set := range other.entities {
-		dst, ok := b.entities[host]
-		if !ok {
-			dst = make(map[int]struct{}, len(set))
-			b.entities[host] = dst
-		}
-		for id := range set {
-			dst[id] = struct{}{}
-		}
+	remap := make([]int32, len(other.hosts))
+	for h, host := range other.hosts {
+		remap[h] = b.intern(host)
+		b.pages[remap[h]] += other.pages[h]
 	}
-	for host, n := range other.pages {
-		b.pages[host] += n
+	b.hostCol = slices.Grow(b.hostCol, len(other.hostCol))
+	for _, h := range other.hostCol {
+		b.hostCol = append(b.hostCol, remap[h])
 	}
+	b.entCol = append(b.entCol, other.entCol...)
 	return nil
 }
 
 // Build finalizes the index: sites sorted by descending entity count,
-// entity lists sorted ascending.
+// entity lists sorted ascending. It counting-sorts the mentions by host
+// into one backing array, then sorts and dedupes each host's run in
+// place; every Site.Entities is a capped subslice of that array. The
+// builder stays usable: Build copies the columns, never aliases them.
 func (b *Builder) Build() *Index {
-	idx := &Index{Domain: b.domain, Attr: b.attr, NumEntities: b.num}
-	hosts := make(map[string]struct{}, len(b.entities))
-	for h := range b.entities {
-		hosts[h] = struct{}{}
+	// end[h] becomes the end of host h's run in ents; the run starts at
+	// end[h-1] (0 for h = 0).
+	end := make([]int, len(b.hosts))
+	grouped := true
+	for i, h := range b.hostCol {
+		end[h]++
+		grouped = grouped && (i == 0 || h >= b.hostCol[i-1])
 	}
-	for h := range b.pages {
-		hosts[h] = struct{}{}
-	}
-	for host := range hosts {
-		set := b.entities[host]
-		var ids []int
-		if len(set) > 0 {
-			ids = make([]int, 0, len(set))
-			for id := range set {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
+	ents := make([]int, len(b.entCol))
+	sum := 0
+	if grouped {
+		// Mentions already arrive in host order (DirectIndexes adds
+		// site by site): the columns are the sorted order.
+		for h, n := range end {
+			sum += n
+			end[h] = sum
 		}
-		idx.Sites = append(idx.Sites, Site{Host: host, Entities: ids, Pages: b.pages[host]})
+		copy(ents, b.entCol)
+	} else {
+		for h, n := range end {
+			end[h] = sum
+			sum += n
+		}
+		for i, h := range b.hostCol {
+			ents[end[h]] = b.entCol[i]
+			end[h]++
+		}
 	}
-	idx.SortBySize()
+	// Sort and dedupe each run, compacting the runs leftward so the
+	// index keeps no gaps where duplicates were.
+	lo, w := 0, 0
+	for h, hi := range end {
+		run := ents[lo:hi]
+		lo = hi
+		if !slices.IsSorted(run) {
+			slices.Sort(run)
+		}
+		for i, id := range run {
+			if i == 0 || id != run[i-1] {
+				ents[w] = id
+				w++
+			}
+		}
+		end[h] = w
+	}
+	start := func(h int32) int {
+		if h == 0 {
+			return 0
+		}
+		return end[h-1]
+	}
+
+	// Order the hosts that have a posting or a page by size descending,
+	// then host ascending (see SortBySize), as a permutation of ids: a
+	// counting sort by size, then a sort by host within each size.
+	// Block k of perm holds the hosts with k postings fewer than the
+	// largest; first[k] is its fill cursor and ends at the block's end.
+	largest := 0
+	for h := range end {
+		largest = max(largest, end[h]-start(int32(h)))
+	}
+	first := make([]int, largest+2)
+	kept := 0
+	for h := range end {
+		if n := end[h] - start(int32(h)); n > 0 || b.pages[h] > 0 {
+			first[largest-n+1]++
+			kept++
+		}
+	}
+	for k := 1; k < len(first); k++ {
+		first[k] += first[k-1]
+	}
+	perm := make([]int32, kept)
+	for h := range end {
+		if n := end[h] - start(int32(h)); n > 0 || b.pages[h] > 0 {
+			perm[first[largest-n]] = int32(h)
+			first[largest-n]++
+		}
+	}
+	byHost := func(x, y int32) int { return strings.Compare(b.hosts[x], b.hosts[y]) }
+	for k, lo := 0, 0; k <= largest; k++ {
+		slices.SortFunc(perm[lo:first[k]], byHost)
+		lo = first[k]
+	}
+
+	idx := &Index{Domain: b.domain, Attr: b.attr, NumEntities: b.num}
+	if len(perm) == 0 {
+		return idx
+	}
+	idx.Sites = make([]Site, len(perm))
+	for i, h := range perm {
+		s := &idx.Sites[i]
+		s.Host, s.Pages = b.hosts[h], b.pages[h]
+		if lo, hi := start(h), end[h]; hi > lo {
+			s.Entities = ents[lo:hi:hi]
+		}
+	}
 	return idx
 }
 
@@ -165,13 +301,27 @@ func (idx *Index) TotalPages() int {
 // attribute, where the universe is "entities that have at least one
 // review on the Web" rather than the whole database.
 func (idx *Index) DistinctEntities() int {
-	seen := make(map[int]struct{})
+	lo, hi := math.MaxInt, math.MinInt
 	for i := range idx.Sites {
 		for _, id := range idx.Sites[i].Entities {
-			seen[id] = struct{}{}
+			lo, hi = min(lo, id), max(hi, id)
 		}
 	}
-	return len(seen)
+	if hi < lo {
+		return 0
+	}
+	// One mark per id in [lo, hi]: ids are dense entity indexes.
+	seen := make([]bool, hi-lo+1)
+	n := 0
+	for i := range idx.Sites {
+		for _, id := range idx.Sites[i].Entities {
+			if !seen[id-lo] {
+				seen[id-lo] = true
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // SetUniverses sets each index's coverage denominator (NumEntities) by
@@ -200,20 +350,13 @@ func SetUniverses(db *entity.DB, idxs map[entity.Attr]*Index) {
 // entity, over entities mentioned at least once (Table 2's
 // "Avg. #sites per entity").
 func (idx *Index) AvgSitesPerEntity() float64 {
-	counts := make(map[int]int)
-	for i := range idx.Sites {
-		for _, id := range idx.Sites[i].Entities {
-			counts[id]++
-		}
-	}
-	if len(counts) == 0 {
+	// Each posting is one (site, entity) incidence, so the postings sum
+	// the per-entity site counts.
+	n := idx.DistinctEntities()
+	if n == 0 {
 		return 0
 	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return float64(total) / float64(len(counts))
+	return float64(idx.TotalPostings()) / float64(n)
 }
 
 // WriteTo serializes the index as a text format:

@@ -17,33 +17,37 @@ import (
 // extract → aggregate) produces identical indexes on the same web, which
 // the test suite asserts.
 func (w *Web) DirectIndexes() map[entity.Attr]*index.Index {
+	// Every site's host is unique by construction, so the site index
+	// is its dense host id.
+	hosts := make([]string, len(w.Sites))
+	for si := range w.Sites {
+		hosts[si] = w.Sites[si].Host
+	}
 	attrs := entity.AttrsFor(w.Config.Domain)
+	// No attribute has more postings than there are listings.
+	listings := w.TotalListings()
 	builders := make(map[entity.Attr]*index.Builder, len(attrs))
 	for _, a := range attrs {
-		builders[a] = index.NewBuilder(w.Config.Domain, a, w.DB.N())
+		builders[a] = index.NewHostBuilder(w.Config.Domain, a, w.DB.N(), hosts)
+		builders[a].Grow(listings)
 	}
 	keyAttr := entity.AttrPhone
 	if w.Config.Domain == entity.Books {
 		keyAttr = entity.AttrISBN
 	}
+	// A domain that does not study an attribute has a nil builder for it.
+	key, homepage, review := builders[keyAttr], builders[entity.AttrHomepage], builders[entity.AttrReview]
 	for si := range w.Sites {
-		s := &w.Sites[si]
-		for _, l := range s.Listings {
+		for _, l := range w.Sites[si].Listings {
 			if l.HasKey {
-				builders[keyAttr].Add(s.Host, l.Entity)
+				key.AddAt(si, l.Entity)
 			}
-			if l.HasHomepage {
-				if b, ok := builders[entity.AttrHomepage]; ok {
-					b.Add(s.Host, l.Entity)
-				}
+			if l.HasHomepage && homepage != nil {
+				homepage.AddAt(si, l.Entity)
 			}
-			if l.Reviews > 0 {
-				if b, ok := builders[entity.AttrReview]; ok {
-					b.Add(s.Host, l.Entity)
-					for i := 0; i < l.Reviews; i++ {
-						b.AddPage(s.Host)
-					}
-				}
+			if l.Reviews > 0 && review != nil {
+				review.AddAt(si, l.Entity)
+				review.AddPagesAt(si, l.Reviews)
 			}
 		}
 	}

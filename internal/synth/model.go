@@ -24,6 +24,7 @@ package synth
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/dist"
 	"repro/internal/entity"
@@ -308,11 +309,27 @@ func (w *Web) distributeReviews(rng *dist.RNG) {
 }
 
 // hostName builds a deterministic host for a directory-population site.
+// It spells fmt's "top%d-%s.example.com" for aggregators and
+// "dir%06d.%s-sites.example.com" otherwise, for positive ranks.
 func hostName(d entity.Domain, c SiteClass, rank int) string {
+	b := make([]byte, 0, 48)
 	if c == Aggregator {
-		return fmt.Sprintf("top%d-%s.example.com", rank, d)
+		b = append(b, "top"...)
+		b = strconv.AppendInt(b, int64(rank), 10)
+		b = append(b, '-')
+		b = append(b, d...)
+		return string(append(b, ".example.com"...))
 	}
-	return fmt.Sprintf("dir%06d.%s-sites.example.com", rank, d)
+	var digits [20]byte
+	ds := strconv.AppendInt(digits[:0], int64(rank), 10)
+	b = append(b, "dir"...)
+	for range 6 - len(ds) {
+		b = append(b, '0')
+	}
+	b = append(b, ds...)
+	b = append(b, '.')
+	b = append(b, d...)
+	return string(append(b, "-sites.example.com"...))
 }
 
 // TotalListings returns the number of (site, entity) coverage pairs.

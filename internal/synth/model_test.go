@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -157,18 +158,46 @@ func TestReviewsSkewToHeadEntities(t *testing.T) {
 	}
 }
 
+// TestHostNamesDistinct: no two sites of a web share a host, in every
+// domain and at two seeds. DirectIndexes uses the site index as the
+// host id, which is only sound under this invariant.
 func TestHostNamesDistinct(t *testing.T) {
-	w := smallWeb(t, entity.Retail)
-	seen := map[string]bool{}
-	for i := range w.Sites {
-		h := w.Sites[i].Host
-		if h == "" {
-			t.Fatal("empty host")
+	for _, d := range entity.AllDomains {
+		for _, seed := range []uint64{42, 7} {
+			w, err := Generate(Config{Domain: d, Entities: 2000, DirectoryHosts: 1200, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for i := range w.Sites {
+				h := w.Sites[i].Host
+				if h == "" {
+					t.Fatalf("%s seed %d: empty host", d, seed)
+				}
+				if seen[h] {
+					t.Fatalf("%s seed %d: duplicate host %q", d, seed, h)
+				}
+				seen[h] = true
+			}
 		}
-		if seen[h] {
-			t.Fatalf("duplicate host %q", h)
+	}
+}
+
+// TestHostNameMatchesFmt pins hostName byte for byte to the fmt
+// formats it spells out.
+func TestHostNameMatchesFmt(t *testing.T) {
+	for _, d := range entity.AllDomains {
+		for _, c := range []SiteClass{Aggregator, Directory, SelfSite} {
+			for _, rank := range []int{1, 9, 10, 999999, 1000000} {
+				want := fmt.Sprintf("dir%06d.%s-sites.example.com", rank, d)
+				if c == Aggregator {
+					want = fmt.Sprintf("top%d-%s.example.com", rank, d)
+				}
+				if got := hostName(d, c, rank); got != want {
+					t.Errorf("hostName(%s, %s, %d) = %q, want %q", d, c, rank, got, want)
+				}
+			}
 		}
-		seen[h] = true
 	}
 }
 
