@@ -55,8 +55,7 @@ type Builder struct {
 	num    int
 
 	// hosts[h] is the name of host id h and pages[h] its attribute-page
-	// count. ids inverts hosts; a NewHostBuilder fills it only when a
-	// mention arrives by name.
+	// count. ids inverts hosts; a NewHostBuilder never fills it.
 	hosts []string
 	pages []int
 	ids   map[string]int32
@@ -73,19 +72,17 @@ type Builder struct {
 // NewBuilder returns a Builder for one (domain, attribute) with the
 // given entity-database size.
 func NewBuilder(domain entity.Domain, attr entity.Attr, numEntities int) *Builder {
-	return &Builder{domain: domain, attr: attr, num: numEntities, lastID: -1}
+	return &Builder{domain: domain, attr: attr, num: numEntities, ids: make(map[string]int32), lastID: -1}
 }
 
 // NewHostBuilder returns a Builder whose host ids are fixed up front:
-// id h names hosts[h]. The hosts must be distinct. AddAt and AddPagesAt
-// then record mentions by id with no map lookup; Add and AddPage still
-// work by name. Hosts that end up with no mention and no page are left
-// out of the index, as they are for a NewBuilder.
+// id h names hosts[h]. The hosts must be distinct. It records by id
+// only, through AddAt and AddPagesAt, with no map lookup; do not call
+// Add, AddPage or Merge on it. Hosts that end up with no mention and no
+// page are left out of the index, as they are for a NewBuilder.
 func NewHostBuilder(domain entity.Domain, attr entity.Attr, numEntities int, hosts []string) *Builder {
 	b := NewBuilder(domain, attr, numEntities)
-	// Clipped, so a host added by name never writes into a hosts array
-	// that other builders share.
-	b.hosts = slices.Clip(hosts)
+	b.hosts = hosts
 	b.pages = make([]int, len(hosts))
 	return b
 }
@@ -94,12 +91,6 @@ func NewHostBuilder(domain entity.Domain, attr entity.Attr, numEntities int, hos
 func (b *Builder) intern(host string) int32 {
 	if b.lastID >= 0 && host == b.last {
 		return b.lastID
-	}
-	if b.ids == nil {
-		b.ids = make(map[string]int32, len(b.hosts))
-		for h, name := range b.hosts {
-			b.ids[name] = int32(h)
-		}
 	}
 	h, ok := b.ids[host]
 	if !ok {
@@ -120,12 +111,6 @@ func (b *Builder) Add(host string, id int) {
 
 // AddPage increments host's attribute-page counter.
 func (b *Builder) AddPage(host string) { b.pages[b.intern(host)]++ }
-
-// Grow makes room for n more mentions without reallocating.
-func (b *Builder) Grow(n int) {
-	b.hostCol = slices.Grow(b.hostCol, n)
-	b.entCol = slices.Grow(b.entCol, n)
-}
 
 // AddAt records that host id h of a NewHostBuilder mentions entity id.
 func (b *Builder) AddAt(h, id int) {
@@ -161,33 +146,22 @@ func (b *Builder) Merge(other *Builder) error {
 // place; every Site.Entities is a capped subslice of that array. The
 // builder stays usable: Build copies the columns, never aliases them.
 func (b *Builder) Build() *Index {
-	// end[h] becomes the end of host h's run in ents; the run starts at
-	// end[h-1] (0 for h = 0).
+	// Counting sort by host: end[h] starts as the start of host h's run
+	// in ents and, once every mention is placed, is its end. The run
+	// starts at end[h-1] (0 for h = 0).
 	end := make([]int, len(b.hosts))
-	grouped := true
-	for i, h := range b.hostCol {
+	for _, h := range b.hostCol {
 		end[h]++
-		grouped = grouped && (i == 0 || h >= b.hostCol[i-1])
+	}
+	sum := 0
+	for h, n := range end {
+		end[h] = sum
+		sum += n
 	}
 	ents := make([]int, len(b.entCol))
-	sum := 0
-	if grouped {
-		// Mentions already arrive in host order (DirectIndexes adds
-		// site by site): the columns are the sorted order.
-		for h, n := range end {
-			sum += n
-			end[h] = sum
-		}
-		copy(ents, b.entCol)
-	} else {
-		for h, n := range end {
-			end[h] = sum
-			sum += n
-		}
-		for i, h := range b.hostCol {
-			ents[end[h]] = b.entCol[i]
-			end[h]++
-		}
+	for i, h := range b.hostCol {
+		ents[end[h]] = b.entCol[i]
+		end[h]++
 	}
 	// Sort and dedupe each run, compacting the runs leftward so the
 	// index keeps no gaps where duplicates were.

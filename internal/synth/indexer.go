@@ -24,12 +24,9 @@ func (w *Web) DirectIndexes() map[entity.Attr]*index.Index {
 		hosts[si] = w.Sites[si].Host
 	}
 	attrs := entity.AttrsFor(w.Config.Domain)
-	// No attribute has more postings than there are listings.
-	listings := w.TotalListings()
 	builders := make(map[entity.Attr]*index.Builder, len(attrs))
 	for _, a := range attrs {
 		builders[a] = index.NewHostBuilder(w.Config.Domain, a, w.DB.N(), hosts)
-		builders[a].Grow(listings)
 	}
 	keyAttr := entity.AttrPhone
 	if w.Config.Domain == entity.Books {
